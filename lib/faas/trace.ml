@@ -126,26 +126,49 @@ let kind_of_name = function
 
 let us_of_ps ps = float_of_int ps /. 1e6
 
+(* --- Chrome/Perfetto trace-event JSON: the one writer behind the live
+   export below, the offline one with flow arrows and the fleet's
+   balancer/member tracks --- *)
+
+let chrome_meta ~pid ?tid ~name what =
+  let open Jord_util.Json in
+  Obj
+    ([ ("ph", String "M"); ("pid", Int pid); ("name", String what) ]
+    @ (match tid with Some tid -> [ ("tid", Int tid) ] | None -> [])
+    @ [ ("args", Obj [ ("name", String name) ]) ])
+
+let chrome_flow ~ph ~id ~pid ~tid ~ts_ps ~name =
+  let open Jord_util.Json in
+  Obj
+    ([
+       ("ph", String ph);
+       ("id", Int id);
+       ("cat", String name);
+       ("name", String name);
+       ("pid", Int pid);
+       ("tid", Int tid);
+       ("ts", Float (us_of_ps ts_ps));
+     ]
+    @ if ph = "f" then [ ("bp", String "e") ] else [])
+
+let chrome_document evs =
+  Jord_util.Json.(to_string (Obj [ ("traceEvents", List evs) ]))
+
 (* Process/thread metadata: Perfetto shows named tracks instead of bare
    tids. One process per server (pid = sid + 1, pid 0 is reserved), one
-   thread per core that appears in the retained window. *)
-let metadata_events ?(orch_cores = []) t =
-  let open Jord_util.Json in
+   thread per core that appears in the events. *)
+let chrome_metadata ~orch_cores events =
   let seen = Hashtbl.create 16 in
   let sids = Hashtbl.create 4 in
-  iter t (fun e ->
+  List.iter
+    (fun e ->
       if e.core >= 0 then Hashtbl.replace seen (e.sid, e.core) ();
-      Hashtbl.replace sids e.sid ());
-  let meta ~pid ~name ?tid what =
-    Obj
-      ([ ("ph", String "M"); ("pid", Int pid); ("name", String what) ]
-      @ (match tid with Some tid -> [ ("tid", Int tid) ] | None -> [])
-      @ [ ("args", Obj [ ("name", String name) ]) ])
-  in
+      Hashtbl.replace sids e.sid ())
+    events;
   let procs =
     Hashtbl.fold
       (fun sid () acc ->
-        meta ~pid:(sid + 1) ~name:(Printf.sprintf "jord server %d" sid) "process_name"
+        chrome_meta ~pid:(sid + 1) ~name:(Printf.sprintf "jord server %d" sid) "process_name"
         :: acc)
       sids []
   in
@@ -156,53 +179,48 @@ let metadata_events ?(orch_cores = []) t =
           if List.mem core orch_cores then Printf.sprintf "orchestrator (core %d)" core
           else Printf.sprintf "core %d" core
         in
-        meta ~pid:(sid + 1) ~tid:core ~name "thread_name" :: acc)
+        chrome_meta ~pid:(sid + 1) ~tid:core ~name "thread_name" :: acc)
       seen []
   in
   List.sort compare procs @ List.sort compare threads
 
-let to_chrome_json ?orch_cores t =
+let chrome_entry e =
   let open Jord_util.Json in
-  let entry e =
-    let common =
-      [
-        ("name", String (e.fn ^ "/" ^ kind_name e.kind));
-        ("pid", Int (e.sid + 1));
-        ("tid", Int (Int.max 0 e.core));
-        ("ts", Float (us_of_ps e.at_ps));
-        ( "args",
-          Obj
-            ([ ("req", Int e.req_id); ("root", Int e.root_id); ("fn", String e.fn) ]
-            @ (if e.parent_id < 0 then [] else [ ("parent", Int e.parent_id) ])
-            @ (if e.stall_ps = 0 then []
-               else [ ("vm_stall_us", Float (us_of_ps e.stall_ps)) ])
-            @ if e.detail = "" then [] else [ ("detail", String e.detail) ]) );
-      ]
-    in
-    match e.kind with
-    | Segment ->
-        Obj (("ph", String "X") :: ("dur", Float (us_of_ps e.dur_ps)) :: common)
-    | Alert ->
-        (* SLO transitions are process-global markers: they belong to no
-           request and must line up against every track in Perfetto. *)
+  let common =
+    [
+      ("name", String (e.fn ^ "/" ^ kind_name e.kind));
+      ("pid", Int (e.sid + 1));
+      ("tid", Int (Int.max 0 e.core));
+      ("ts", Float (us_of_ps e.at_ps));
+      ( "args",
         Obj
-          (("ph", String "i") :: ("s", String "g")
-          :: ("name", String (Printf.sprintf "slo:%s:%s" e.fn e.detail))
-          :: List.filter (fun (k, _) -> k <> "name") common)
-    | ServerDown | ServerUp ->
-        (* Server lifecycle transitions are likewise global instants: the
-           whole process (one per server) goes dark or comes back. *)
-        Obj
-          (("ph", String "i") :: ("s", String "g")
-          :: ("name", String (Printf.sprintf "server%d:%s" e.sid
-                                (if e.kind = ServerDown then "down" else "up")))
-          :: List.filter (fun (k, _) -> k <> "name") common)
-    | Arrive | Dispatch | Start | Suspend | Resume | Complete | Forward | Drop
-    | Timeout | Retry | Crash | Recover | Duplicate ->
-        Obj (("ph", String "i") :: ("s", String "t") :: common)
+          ([ ("req", Int e.req_id); ("root", Int e.root_id); ("fn", String e.fn) ]
+          @ (if e.parent_id < 0 then [] else [ ("parent", Int e.parent_id) ])
+          @ (if e.stall_ps = 0 then [] else [ ("vm_stall_us", Float (us_of_ps e.stall_ps)) ])
+          @ if e.detail = "" then [] else [ ("detail", String e.detail) ]) );
+    ]
   in
-  let evs = metadata_events ?orch_cores t @ List.map entry (events t) in
-  to_string (Obj [ ("traceEvents", List evs) ])
+  (* SLO transitions and server lifecycle changes are process-global
+     markers: they belong to no request and must line up against every
+     track in Perfetto. *)
+  let global name =
+    Obj
+      (("ph", String "i") :: ("s", String "g") :: ("name", String name)
+      :: List.filter (fun (k, _) -> k <> "name") common)
+  in
+  match e.kind with
+  | Segment -> Obj (("ph", String "X") :: ("dur", Float (us_of_ps e.dur_ps)) :: common)
+  | Alert -> global (Printf.sprintf "slo:%s:%s" e.fn e.detail)
+  | ServerDown -> global (Printf.sprintf "server%d:down" e.sid)
+  | ServerUp -> global (Printf.sprintf "server%d:up" e.sid)
+  | Arrive | Dispatch | Start | Suspend | Resume | Complete | Forward | Drop
+  | Timeout | Retry | Crash | Recover | Duplicate ->
+      Obj (("ph", String "i") :: ("s", String "t") :: common)
+
+let chrome_events ?(orch_cores = []) events =
+  chrome_metadata ~orch_cores events @ List.map chrome_entry events
+
+let to_chrome_json ?orch_cores t = chrome_document (chrome_events ?orch_cores (events t))
 
 let to_text ?limit t =
   let evs = events t in

@@ -112,11 +112,34 @@ val events : t -> event list
 val kind_name : kind -> string
 val kind_of_name : string -> kind option
 
+(** {2 Chrome/Perfetto trace-event JSON}
+
+    The one writer: the live export ({!to_chrome_json}), the offline one
+    with flow arrows ([Jord_obsv.Export]) and the fleet's balancer/member
+    tracks ([Jord_obsv.Freport]) all build their documents from these. *)
+
+val chrome_events : ?orch_cores:int list -> event list -> Jord_util.Json.t list
+(** [ph:"M"] process/thread metadata naming each track (one process per
+    server, pid = sid + 1; "core N", or "orchestrator (core N)" for cores
+    listed in [orch_cores]), then one entry per event: [ph:"X"] slices for
+    segments, thread-scoped instants for the request lifecycle and global
+    instants for alerts and server down/up transitions. *)
+
+val chrome_meta : pid:int -> ?tid:int -> name:string -> string -> Jord_util.Json.t
+(** [chrome_meta ~pid ?tid ~name what]: a [ph:"M"] metadata event ([what]
+    is ["process_name"] or ["thread_name"]). *)
+
+val chrome_flow :
+  ph:string -> id:int -> pid:int -> tid:int -> ts_ps:int -> name:string -> Jord_util.Json.t
+(** One end of a flow arrow: [ph] is ["s"] (start) or ["f"] (finish,
+    bound to the enclosing slice). *)
+
+val chrome_document : Jord_util.Json.t list -> string
+(** The envelope: one JSON object whose [traceEvents] member lists the
+    events. *)
+
 val to_chrome_json : ?orch_cores:int list -> t -> string
-(** Chrome trace-event format: spans per core track, instant events for
-    arrivals/drops/forwards, plus [ph:"M"] process/thread metadata naming
-    each track ("core N", or "orchestrator (core N)" for cores listed in
-    [orch_cores]). *)
+(** {!chrome_events} over the retained events, as a document. *)
 
 val to_text : ?limit:int -> t -> string
 (** Human-readable log lines, newest [limit] events (default all retained). *)

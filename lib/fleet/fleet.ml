@@ -117,8 +117,9 @@ let observe_rollup t ~at_ps ~entry ~latency_ps ~shed ~trace_id =
   match t.rollup with
   | None -> ()
   | Some r ->
-      Jord_obsv.Rollup.observe ~trace_id r ~at_ps ~fn:t.entry_names.(entry)
-        ~latency_ps ~shed
+      Jord_obsv.Rollup.advance r ~now_ps:at_ps;
+      Jord_obsv.Rollup.observe r ~at_ps ~fn:t.entry_names.(entry) ~latency_ps ~shed
+        ~trace_id
 
 (* The "slo" always-keep rule: a completed request that violated any
    matching latency objective must survive sampling. *)
@@ -491,7 +492,7 @@ let run ?(slo = []) ?tracer t ~shape ~duration_us =
      table names is pinned into the retained trace set. *)
   (match (t.rollup, tracer) with
   | Some r, Some tr ->
-      Jord_obsv.Rollup.set_exemplar_hook r (Jord_obsv.Ftrace.on_exemplar tr)
+      Jord_obsv.Rollup.set_hook r (Jord_obsv.Ftrace.on_exemplar tr)
   | _ -> ());
   t.traffic <- Some shape;
   t.duration_us <- duration_us;

@@ -1,104 +1,15 @@
 module Trace = Jord_faas.Trace
 module Json = Jord_util.Json
 
-(* Offline exporters over a loaded trace: the Chrome/Perfetto document with
-   flow events (parent -> child spawns and cross-server hops), and JSON/CSV
-   blame profiles per function. The live exporter for interactive runs is
-   {!Jord_faas.Trace.to_chrome_json}; this one adds the causal arrows that
-   need the span forest. *)
-
-let us ps = float_of_int ps /. 1e6
+(* Offline exporters over a loaded trace: the Chrome/Perfetto document, and
+   JSON/CSV blame profiles per function. The document is Trace's one
+   writer ({!Jord_faas.Trace.chrome_events}, the live export's tracks and
+   entries) plus the flow arrows that need the span forest: parent -> child
+   spawns and cross-server hops. *)
 
 (* Flow-id spaces: spawn flows use the child's req_id, hop flows an offset
    counter, so the two families never collide. *)
 let hop_flow_base = 1 lsl 30
-
-let metadata ~orch_cores events =
-  let seen = Hashtbl.create 16 and sids = Hashtbl.create 4 in
-  List.iter
-    (fun (e : Trace.event) ->
-      if e.Trace.core >= 0 then Hashtbl.replace seen (e.Trace.sid, e.Trace.core) ();
-      Hashtbl.replace sids e.Trace.sid ())
-    events;
-  let meta ~pid ~name ?tid what =
-    Json.Obj
-      ([ ("ph", Json.String "M"); ("pid", Json.Int pid); ("name", Json.String what) ]
-      @ (match tid with Some tid -> [ ("tid", Json.Int tid) ] | None -> [])
-      @ [ ("args", Json.Obj [ ("name", Json.String name) ]) ])
-  in
-  let procs =
-    Hashtbl.fold
-      (fun sid () acc ->
-        meta ~pid:(sid + 1) ~name:(Printf.sprintf "jord server %d" sid) "process_name"
-        :: acc)
-      sids []
-  in
-  let threads =
-    Hashtbl.fold
-      (fun (sid, core) () acc ->
-        let name =
-          if List.mem core orch_cores then Printf.sprintf "orchestrator (core %d)" core
-          else Printf.sprintf "core %d" core
-        in
-        meta ~pid:(sid + 1) ~tid:core ~name "thread_name" :: acc)
-      seen []
-  in
-  List.sort compare procs @ List.sort compare threads
-
-let entry (e : Trace.event) =
-  let common =
-    [
-      ("name", Json.String (e.Trace.fn ^ "/" ^ Trace.kind_name e.Trace.kind));
-      ("pid", Json.Int (e.Trace.sid + 1));
-      ("tid", Json.Int (Int.max 0 e.Trace.core));
-      ("ts", Json.Float (us e.Trace.at_ps));
-      ( "args",
-        Json.Obj
-          ([
-             ("req", Json.Int e.Trace.req_id);
-             ("root", Json.Int e.Trace.root_id);
-             ("fn", Json.String e.Trace.fn);
-           ]
-          @ (if e.Trace.parent_id < 0 then []
-             else [ ("parent", Json.Int e.Trace.parent_id) ])
-          @ (if e.Trace.stall_ps = 0 then []
-             else [ ("vm_stall_us", Json.Float (us e.Trace.stall_ps)) ])
-          @ if e.Trace.detail = "" then []
-            else [ ("detail", Json.String e.Trace.detail) ]) );
-    ]
-  in
-  match e.Trace.kind with
-  | Trace.Segment ->
-      Json.Obj (("ph", Json.String "X") :: ("dur", Json.Float (us e.Trace.dur_ps)) :: common)
-  | Trace.Alert ->
-      (* Global instant markers: SLO fire/resolve transitions line up with
-         every span track on the Perfetto timeline. *)
-      Json.Obj
-        (("ph", Json.String "i") :: ("s", Json.String "g")
-        :: ("name", Json.String (Printf.sprintf "slo:%s:%s" e.Trace.fn e.Trace.detail))
-        :: List.filter (fun (k, _) -> k <> "name") common)
-  | Trace.ServerDown | Trace.ServerUp ->
-      Json.Obj
-        (("ph", Json.String "i") :: ("s", Json.String "g")
-        :: ("name",
-            Json.String
-              (Printf.sprintf "server%d:%s" e.Trace.sid
-                 (if e.Trace.kind = Trace.ServerDown then "down" else "up")))
-        :: List.filter (fun (k, _) -> k <> "name") common)
-  | _ -> Json.Obj (("ph", Json.String "i") :: ("s", Json.String "t") :: common)
-
-let flow ~ph ~id ~pid ~tid ~ts ~name =
-  Json.Obj
-    ([
-       ("ph", Json.String ph);
-       ("id", Json.Int id);
-       ("cat", Json.String name);
-       ("name", Json.String name);
-       ("pid", Json.Int pid);
-       ("tid", Json.Int tid);
-       ("ts", Json.Float (us ts));
-     ]
-    @ if ph = "f" then [ ("bp", Json.String "e") ] else [])
 
 (* Spawn flows: an arrow from the parent's running segment at the child's
    birth to the child's first executor segment. *)
@@ -117,10 +28,11 @@ let spawn_flows (r : Span.result) =
             match (at_birth, Span.segments sp) with
             | Some pseg, first :: _ ->
                 out :=
-                  flow ~ph:"f" ~id:sp.Span.req_id ~pid:(first.Span.seg_sid + 1)
-                    ~tid:first.Span.core ~ts:first.Span.t0 ~name:"spawn"
-                  :: flow ~ph:"s" ~id:sp.Span.req_id ~pid:(pseg.Span.seg_sid + 1)
-                       ~tid:pseg.Span.core ~ts:sp.Span.born ~name:"spawn"
+                  Trace.chrome_flow ~ph:"f" ~id:sp.Span.req_id ~pid:(first.Span.seg_sid + 1)
+                    ~tid:first.Span.core ~ts_ps:first.Span.t0 ~name:"spawn"
+                  :: Trace.chrome_flow ~ph:"s" ~id:sp.Span.req_id
+                       ~pid:(pseg.Span.seg_sid + 1) ~tid:pseg.Span.core ~ts_ps:sp.Span.born
+                       ~name:"spawn"
                   :: !out
             | _ -> ()));
   List.rev !out
@@ -139,8 +51,8 @@ let hop_flows events =
           let id = hop_flow_base + !seq in
           Hashtbl.replace pending e.Trace.req_id id;
           out :=
-            flow ~ph:"s" ~id ~pid:(e.Trace.sid + 1) ~tid:(Int.max 0 e.Trace.core)
-              ~ts:e.Trace.at_ps ~name:"hop"
+            Trace.chrome_flow ~ph:"s" ~id ~pid:(e.Trace.sid + 1) ~tid:(Int.max 0 e.Trace.core)
+              ~ts_ps:e.Trace.at_ps ~name:"hop"
             :: !out
       | Trace.Arrive -> (
           match Hashtbl.find_opt pending e.Trace.req_id with
@@ -148,20 +60,16 @@ let hop_flows events =
           | Some id ->
               Hashtbl.remove pending e.Trace.req_id;
               out :=
-                flow ~ph:"f" ~id ~pid:(e.Trace.sid + 1) ~tid:(Int.max 0 e.Trace.core)
-                  ~ts:e.Trace.at_ps ~name:"hop"
+                Trace.chrome_flow ~ph:"f" ~id ~pid:(e.Trace.sid + 1)
+                  ~tid:(Int.max 0 e.Trace.core) ~ts_ps:e.Trace.at_ps ~name:"hop"
                 :: !out)
       | _ -> ())
     events;
   List.rev !out
 
-let chrome_json ?(orch_cores = []) ~events (r : Span.result) =
-  let evs =
-    metadata ~orch_cores events
-    @ List.map entry events
-    @ spawn_flows r @ hop_flows events
-  in
-  Json.to_string (Json.Obj [ ("traceEvents", Json.List evs) ])
+let chrome_json ?orch_cores ~events (r : Span.result) =
+  Trace.chrome_document
+    (Trace.chrome_events ?orch_cores events @ spawn_flows r @ hop_flows events)
 
 (* Blame profiles: per entry function, end-to-end phase means plus the mean
    critical-path blame. *)

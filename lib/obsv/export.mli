@@ -1,9 +1,10 @@
 (** Offline exporters over a loaded trace.
 
-    [chrome_json] produces a Chrome/Perfetto [traceEvents] document with
-    [ph:"M"] process/thread metadata and [ph:"s"]/[ph:"f"] flow arrows for
-    parent->child spawns (flow id = child request id) and forward->arrive
-    wire hops (flow ids offset by {!hop_flow_base}).  [blame_json] /
+    [chrome_json] writes the live export's document
+    ({!Jord_faas.Trace.chrome_events}: track metadata plus one entry per
+    event) with [ph:"s"]/[ph:"f"] flow arrows added for parent->child
+    spawns (flow id = child request id) and forward->arrive wire hops
+    (flow ids offset by {!hop_flow_base}).  [blame_json] /
     [blame_csv] export the per-function phase attribution and mean
     critical-path blame. *)
 

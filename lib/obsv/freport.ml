@@ -186,12 +186,7 @@ let slowest ?(n = 10) l =
         compare (Fspan.e2e_ps b, a.Fspan.req_id) (Fspan.e2e_ps a, b.Fspan.req_id))
       (completed l)
   in
-  let rec take k = function
-    | [] -> []
-    | _ when k = 0 -> []
-    | x :: tl -> x :: take (k - 1) tl
-  in
-  let picked = take n sps in
+  let picked = List.filteri (fun i _ -> i < n) sps in
   if picked = [] then Buffer.add_string buf "no completed spans retained\n"
   else begin
     Buffer.add_string buf
@@ -326,14 +321,7 @@ let blame l =
       (Printf.sprintf "verdict: %s dominates the fleet p99 tail\n" worst);
     (* Per-member view, capped deterministically. *)
     let members = by_member l in
-    let shown =
-      let rec take k = function
-        | [] -> []
-        | _ when k = 0 -> []
-        | x :: tl -> x :: take (k - 1) tl
-      in
-      take member_cap members
-    in
+    let shown = List.filteri (fun i _ -> i < member_cap) members in
     Buffer.add_string buf
       (Printf.sprintf "per-member (top %d of %d by retained requests):\n"
          (List.length shown) (List.length members));
@@ -360,27 +348,8 @@ let balancer_pid = 1
 let member_pid m = m + 2
 let resp_flow_base = 1 lsl 30
 
-let meta_entry ~pid ~name what =
-  Json.Obj
-    [
-      ("ph", Json.String "M");
-      ("pid", Json.Int pid);
-      ("name", Json.String what);
-      ("args", Json.Obj [ ("name", Json.String name) ]);
-    ]
-
 let flow ~ph ~id ~pid ~ts ~name =
-  Json.Obj
-    ([
-       ("ph", Json.String ph);
-       ("id", Json.Int id);
-       ("cat", Json.String name);
-       ("name", Json.String name);
-       ("pid", Json.Int pid);
-       ("tid", Json.Int 0);
-       ("ts", Json.Float (us ts));
-     ]
-    @ if ph = "f" then [ ("bp", Json.String "e") ] else [])
+  Jord_faas.Trace.chrome_flow ~ph ~id ~pid ~tid:0 ~ts_ps:ts ~name
 
 let span_args keep sp =
   ( "args",
@@ -406,10 +375,10 @@ let chrome_json (l : Ftrace.loaded) =
       if sp.Fspan.member >= 0 then Hashtbl.replace members sp.Fspan.member ())
     l.Ftrace.spans;
   let procs =
-    meta_entry ~pid:balancer_pid ~name:"fleet balancer" "process_name"
+    Jord_faas.Trace.chrome_meta ~pid:balancer_pid ~name:"fleet balancer" "process_name"
     :: (Hashtbl.fold
           (fun m () acc ->
-            meta_entry ~pid:(member_pid m)
+            Jord_faas.Trace.chrome_meta ~pid:(member_pid m)
               ~name:(Printf.sprintf "fleet member %d" m)
               "process_name"
             :: acc)
@@ -493,7 +462,7 @@ let chrome_json (l : Ftrace.loaded) =
                args;
              ]))
     l.Ftrace.spans;
-  Json.to_string (Json.Obj [ ("traceEvents", Json.List (procs @ List.rev !out)) ])
+  Jord_faas.Trace.chrome_document (procs @ List.rev !out)
 
 (* --- blame profiles, matching the single-node Export conventions --- *)
 

@@ -32,7 +32,7 @@ let record t ?keep sp =
   t.staging <- Some sp;
   Fsampler.offer t.sampler ?keep sp
 
-(* Wire this to [Rollup.set_exemplar_hook]. *)
+(* Wire this to [Rollup.set_hook]. *)
 let on_exemplar t = function
   | Rollup.Candidate { objective; id } -> (
       match t.staging with
@@ -43,6 +43,7 @@ let on_exemplar t = function
       | Some sp when sp.Fspan.req_id = id ->
           Fsampler.pin t.sampler ~reason:"exemplar" sp
       | _ -> ())
+  | Rollup.Transition _ -> ()
 
 let retained t = Fsampler.retained t.sampler
 let retained_ids t = List.map (fun (_, sp) -> sp.Fspan.req_id) (retained t)

@@ -5,7 +5,7 @@
     be present in the saved trace file. The fleet records each finished
     span (with its always-keep rule, if any) immediately before feeding
     the request to {!Rollup.observe}; wire {!on_exemplar} to
-    {!Rollup.set_exemplar_hook} to complete the loop. *)
+    {!Rollup.set_hook} to complete the loop. *)
 
 type t
 
@@ -21,9 +21,9 @@ val record : t -> ?keep:string -> Fspan.t -> unit
     offering it to the sampler. Call at most once per request id,
     immediately before the matching {!Rollup.observe}. *)
 
-val on_exemplar : t -> Rollup.exemplar_event -> unit
+val on_exemplar : t -> Rollup.event -> unit
 (** Parks window-max candidates and pins promoted exemplars (retention
-    reason ["exemplar"]). *)
+    reason ["exemplar"]); alert transitions are ignored. *)
 
 val retained : t -> (string * Fspan.t) list
 (** Final retained set as [(keep_reason, span)], sorted by request id. *)

@@ -2,258 +2,44 @@ module Trace = Jord_faas.Trace
 module Sketch = Jord_telemetry.Sketch
 module Json = Jord_util.Json
 
-type transition = {
-  tr_at_ps : int;
-  tr_objective : string;
-  tr_firing : bool;
-  tr_window : int;
-  tr_burn_fast : float;
-  tr_burn_slow : float;
-}
-
-type window_summary = {
-  w_index : int;
-  w_total : int;
-  w_bad : int;
-  w_burn_fast : float;
-  w_burn_slow : float;
-  w_firing : bool;
-}
-
-(* One open tumbling window on one server: exact counts plus sketches of
-   the completions that landed in it. *)
-type win = {
-  mutable total : int;
-  mutable bad : int;
-  mutable shed : int;
-  lat : Sketch.t;
-}
-
-type closed = { c_total : int; c_bad : int }
-
-type ostate = {
-  obj : Slo.objective;
-  open_wins : (int * int, win) Hashtbl.t;  (* (window index, sid) -> win *)
-  mutable next_close : int;
-  mutable recent : closed list;  (* newest first, length <= slow_windows *)
-  mutable history : window_summary list;  (* newest first *)
-  mutable firing : bool;
-  mutable fired : int;
-  mutable resolved : int;
-  mutable completed : int;
-  mutable shed : int;
-  mutable bad : int;
-  mutable e2e_sum_ps : int;
-  phase_sum_ps : int array;
-  all : Sketch.t;
-  per_sid : (int, Sketch.t) Hashtbl.t;
-  mutable windows_closed : int;
-  mutable trans : transition list;  (* newest first *)
-}
+(* Exact integer sums over one objective's completed roots: the part of
+   the post-hoc attribution the windowed core does not keep. *)
+type sums = { mutable e2e_ps : int; phase_ps : int array }
 
 type tracked = { sp : Span.t; mutable decided : bool }
 
 type t = {
-  objs : ostate list;
+  core : Rollup.t;
+  objs : (Slo.objective * sums) list;
   spans : (int, tracked) Hashtbl.t;
   kids : (int, int list) Hashtbl.t;
-  mutable watermark : int;
-  mutable tracer : Trace.t option;
-  mutable finished : bool;
 }
 
 let create objectives =
   {
+    core = Rollup.create objectives;
     objs =
       List.map
-        (fun o ->
-          {
-            obj = o;
-            open_wins = Hashtbl.create 16;
-            next_close = 0;
-            recent = [];
-            history = [];
-            firing = false;
-            fired = 0;
-            resolved = 0;
-            completed = 0;
-            shed = 0;
-            bad = 0;
-            e2e_sum_ps = 0;
-            phase_sum_ps = Array.make Span.phase_count 0;
-            all = Sketch.create ();
-            per_sid = Hashtbl.create 4;
-            trans = [];
-            windows_closed = 0;
-          })
+        (fun o -> (o, { e2e_ps = 0; phase_ps = Array.make Span.phase_count 0 }))
         objectives;
     spans = Hashtbl.create 1024;
     kids = Hashtbl.create 256;
-    watermark = 0;
-    tracer = None;
-    finished = false;
   }
 
-let objectives t = List.map (fun os -> os.obj) t.objs
+let rollup t = t.core
 
-(* --- burn-rate evaluation --- *)
+(* --- decided roots become observations --- *)
 
-let burn_over obj windows =
-  let rec take k = function
-    | [] -> []
-    | _ when k = 0 -> []
-    | w :: rest -> w :: take (k - 1) rest
-  in
-  let frac ws =
-    let total = List.fold_left (fun a w -> a + w.c_total) 0 ws in
-    let bad = List.fold_left (fun a w -> a + w.c_bad) 0 ws in
-    if total = 0 then (0.0, 0)
-    else (float_of_int bad /. float_of_int total, bad)
-  in
-  let fast_frac, fast_bad = frac (take obj.Slo.fast_windows windows) in
-  let slow_frac, _ = frac (take obj.Slo.slow_windows windows) in
-  (fast_frac /. obj.Slo.budget, slow_frac /. obj.Slo.budget, fast_bad)
-
-let emit_transition t os ~at_ps ~window ~firing ~burn_fast ~burn_slow =
-  os.trans <-
-    {
-      tr_at_ps = at_ps;
-      tr_objective = os.obj.Slo.name;
-      tr_firing = firing;
-      tr_window = window;
-      tr_burn_fast = burn_fast;
-      tr_burn_slow = burn_slow;
-    }
-    :: os.trans;
-  if firing then os.fired <- os.fired + 1 else os.resolved <- os.resolved + 1;
-  match t.tracer with
-  | None -> ()
-  | Some tr ->
-      Trace.emit tr ~at_ps ~kind:Trace.Alert ~req_id:(-1) ~root_id:(-1)
-        ~fn:os.obj.Slo.name ~core:(-1)
-        ~detail:(if firing then "fire" else "resolve")
-        ()
-
-(* Close window [idx]: merge the member servers' sketches (ascending sid,
-   though any order would do — Sketch merging is associative and
-   commutative), push the burn history and run the alert rule. *)
-let close_window t os idx =
-  let sids =
-    Hashtbl.fold
-      (fun (w, sid) _ acc -> if w = idx then sid :: acc else acc)
-      os.open_wins []
-    |> List.sort compare
-  in
-  let total = ref 0 and bad = ref 0 in
-  List.iter
-    (fun sid ->
-      let w = Hashtbl.find os.open_wins (idx, sid) in
-      total := !total + w.total;
-      bad := !bad + w.bad;
-      Hashtbl.remove os.open_wins (idx, sid))
-    sids;
-  let rec cap k = function
-    | [] -> []
-    | _ when k = 0 -> []
-    | w :: rest -> w :: cap (k - 1) rest
-  in
-  os.recent <- cap os.obj.Slo.slow_windows ({ c_total = !total; c_bad = !bad } :: os.recent);
-  let burn_fast, burn_slow, fast_bad = burn_over os.obj os.recent in
-  let should_fire =
-    burn_fast >= os.obj.Slo.burn_threshold
-    && burn_slow >= os.obj.Slo.burn_threshold
-    && fast_bad > 0
-  in
-  if should_fire <> os.firing then begin
-    os.firing <- should_fire;
-    emit_transition t os
-      ~at_ps:((idx + 1) * os.obj.Slo.window_ps)
-      ~window:idx ~firing:should_fire ~burn_fast ~burn_slow
-  end;
-  os.history <-
-    {
-      w_index = idx;
-      w_total = !total;
-      w_bad = !bad;
-      w_burn_fast = burn_fast;
-      w_burn_slow = burn_slow;
-      w_firing = os.firing;
-    }
-    :: os.history;
-  os.windows_closed <- os.windows_closed + 1;
-  os.next_close <- idx + 1
-
-let close_due t =
-  List.iter
-    (fun os ->
-      while (os.next_close + 1) * os.obj.Slo.window_ps <= t.watermark do
-        close_window t os os.next_close
-      done)
-    t.objs
-
-(* --- recording decided roots --- *)
-
-let matches os (sp : Span.t) =
-  match os.obj.Slo.fn with None -> true | Some fn -> fn = sp.Span.fn
-
-let win_for os ~idx ~sid =
-  match Hashtbl.find_opt os.open_wins (idx, sid) with
-  | Some w -> w
-  | None ->
-      let w = { total = 0; bad = 0; shed = 0; lat = Sketch.create () } in
-      Hashtbl.add os.open_wins (idx, sid) w;
-      w
-
+(* A completed root is observed in the window of its end. *)
 let record_completion t (sp : Span.t) =
   let e2e = Span.e2e_ps sp in
+  Rollup.observe t.core ~at_ps:sp.Span.end_ps ~fn:sp.Span.fn ~latency_ps:e2e ~shed:false
+    ~trace_id:(-1);
   List.iter
-    (fun os ->
-      if matches os sp then begin
-        let idx = sp.Span.end_ps / os.obj.Slo.window_ps in
-        let w = win_for os ~idx ~sid:sp.Span.sid in
-        (* Availability objectives only charge shed/failed roots to the
-           budget: a completed request is available regardless of latency. *)
-        let is_bad =
-          match os.obj.Slo.kind with
-          | Slo.Availability -> false
-          | Slo.Latency -> e2e > os.obj.Slo.threshold_ps
-        in
-        w.total <- w.total + 1;
-        if is_bad then w.bad <- w.bad + 1;
-        Sketch.add w.lat e2e;
-        os.completed <- os.completed + 1;
-        if is_bad then os.bad <- os.bad + 1;
-        os.e2e_sum_ps <- os.e2e_sum_ps + e2e;
-        Array.iteri
-          (fun i v -> os.phase_sum_ps.(i) <- os.phase_sum_ps.(i) + v)
-          sp.Span.phases;
-        Sketch.add os.all e2e;
-        let per =
-          match Hashtbl.find_opt os.per_sid sp.Span.sid with
-          | Some s -> s
-          | None ->
-              let s = Sketch.create () in
-              Hashtbl.add os.per_sid sp.Span.sid s;
-              s
-        in
-        Sketch.add per e2e
-      end)
-    t.objs
-
-(* Shed roots (queue-full drops, deadline timeouts) never complete but do
-   consume error budget: bad with no latency observation, in the window of
-   the shedding instant. *)
-let record_shed t (sp : Span.t) ~at_ps =
-  List.iter
-    (fun os ->
-      if matches os sp then begin
-        let idx = at_ps / os.obj.Slo.window_ps in
-        let w = win_for os ~idx ~sid:sp.Span.sid in
-        w.total <- w.total + 1;
-        w.bad <- w.bad + 1;
-        w.shed <- w.shed + 1;
-        os.shed <- os.shed + 1;
-        os.bad <- os.bad + 1
+    (fun ((o : Slo.objective), s) ->
+      if (match o.Slo.fn with None -> true | Some fn -> fn = sp.Span.fn) then begin
+        s.e2e_ps <- s.e2e_ps + e2e;
+        Array.iteri (fun i v -> s.phase_ps.(i) <- s.phase_ps.(i) + v) sp.Span.phases
       end)
     t.objs
 
@@ -269,10 +55,7 @@ let is_root (sp : Span.t) = sp.Span.parent_id < 0 && sp.Span.req_id = sp.Span.ro
 
 let observe t (e : Trace.event) =
   if e.Trace.req_id >= 0 then begin
-    if e.Trace.at_ps > t.watermark then begin
-      t.watermark <- e.Trace.at_ps;
-      close_due t
-    end;
+    Rollup.advance t.core ~now_ps:e.Trace.at_ps;
     let tracked =
       match Hashtbl.find_opt t.spans e.Trace.req_id with
       | Some tr -> tr
@@ -293,28 +76,26 @@ let observe t (e : Trace.event) =
         forget t e.Trace.req_id
       end
       else if tracked.sp.Span.dead then begin
+        (* Shed roots (queue-full drops, deadline timeouts) never complete
+           but consume budget, in the window of the shedding instant. *)
         tracked.decided <- true;
-        record_shed t tracked.sp ~at_ps:e.Trace.at_ps;
+        Rollup.observe t.core ~at_ps:e.Trace.at_ps ~fn:tracked.sp.Span.fn ~latency_ps:0
+          ~shed:true ~trace_id:(-1);
         forget t e.Trace.req_id
       end
   end
 
 let attach t tracer =
-  t.tracer <- Some tracer;
+  Rollup.set_hook t.core (function
+    | Rollup.Transition tr ->
+        Trace.emit tracer ~at_ps:tr.Rollup.tr_at_ps ~kind:Trace.Alert ~req_id:(-1)
+          ~root_id:(-1) ~fn:tr.Rollup.tr_objective ~core:(-1)
+          ~detail:(if tr.Rollup.tr_firing then "fire" else "resolve")
+          ()
+    | Rollup.Candidate _ | Rollup.Promoted _ -> ());
   Trace.set_sink tracer (Some (observe t))
 
-let finish t ~now_ps =
-  if not t.finished then begin
-    t.finished <- true;
-    if now_ps > t.watermark then t.watermark <- now_ps;
-    close_due t;
-    (* Close the final partial window so end-of-run reports include it. *)
-    List.iter
-      (fun os ->
-        if os.next_close * os.obj.Slo.window_ps <= t.watermark then
-          close_window t os os.next_close)
-      t.objs
-  end
+let finish t ~now_ps = Rollup.finish t.core ~now_ps
 
 let replay ~objectives ?finish_ps events =
   let t = create objectives in
@@ -342,197 +123,152 @@ type objective_snapshot = {
   s_fired : int;
   s_resolved : int;
   s_firing : bool;
-  s_transitions : transition list;
-  s_windows : window_summary list;
-  s_per_sid : (int * Sketch.t) list;
+  s_windows : Rollup.closed_window list;
 }
 
 let snapshot t =
-  List.map
-    (fun os ->
+  List.map2
+    (fun ((o, s), (r : Rollup.row)) (_, ws) ->
       {
-        s_objective = os.obj;
-        s_completed = os.completed;
-        s_shed = os.shed;
-        s_bad = os.bad;
-        s_e2e_sum_ps = os.e2e_sum_ps;
-        s_phase_sum_ps = Array.copy os.phase_sum_ps;
-        s_sketch = Sketch.copy os.all;
-        s_quantile_ps = Sketch.quantile os.all os.obj.Slo.percentile;
-        s_windows_closed = os.windows_closed;
-        s_fired = os.fired;
-        s_resolved = os.resolved;
-        s_firing = os.firing;
-        s_transitions = List.rev os.trans;
-        s_windows = List.rev os.history;
-        s_per_sid =
-          Hashtbl.fold (fun sid s acc -> (sid, Sketch.copy s) :: acc) os.per_sid []
-          |> List.sort (fun (a, _) (b, _) -> compare a b);
+        s_objective = o;
+        s_completed = r.Rollup.r_requests - r.Rollup.r_shed;
+        s_shed = r.Rollup.r_shed;
+        s_bad = r.Rollup.r_bad;
+        s_e2e_sum_ps = s.e2e_ps;
+        s_phase_sum_ps = Array.copy s.phase_ps;
+        s_sketch = Sketch.copy r.Rollup.r_sketch;
+        s_quantile_ps = r.Rollup.r_quantile_ps;
+        s_windows_closed = r.Rollup.r_windows_closed;
+        s_fired = r.Rollup.r_fired;
+        s_resolved = r.Rollup.r_resolved;
+        s_firing = r.Rollup.r_firing;
+        s_windows = ws;
       })
-    t.objs
-
-let transitions t =
-  List.concat_map (fun os -> List.rev os.trans) t.objs
-  |> List.sort (fun a b ->
-         compare (a.tr_at_ps, a.tr_objective) (b.tr_at_ps, b.tr_objective))
+    (List.combine t.objs (Rollup.rows t.core))
+    (Rollup.windows t.core)
 
 (* --- telemetry --- *)
 
 let register_metrics t ?(labels = []) registry =
   let module R = Jord_telemetry.Registry in
-  List.iter
-    (fun os ->
-      let l = labels @ [ ("slo", os.obj.Slo.name) ] in
-      let c name help f = R.counter_fn registry ~help ~labels:l name f in
-      let g name help f = R.gauge_fn registry ~help ~labels:l name f in
-      c "jord_slo_requests_total" "Roots decided against this objective"
-        (fun () -> float_of_int (os.completed + os.shed));
+  List.iteri
+    (fun i ((o : Slo.objective), _) ->
+      let row () = List.nth (Rollup.rows t.core) i in
+      let l = labels @ [ ("slo", o.Slo.name) ] in
+      let c name help f =
+        R.counter_fn registry ~help ~labels:l name (fun () -> float_of_int (f (row ())))
+      in
+      let g name help f = R.gauge_fn registry ~help ~labels:l name (fun () -> f (row ())) in
+      c "jord_slo_requests_total" "Roots decided against this objective" (fun r ->
+          r.Rollup.r_requests);
       c "jord_slo_bad_total" "Budget-consuming requests (over threshold or shed)"
-        (fun () -> float_of_int os.bad);
-      c "jord_slo_shed_total" "Shed roots charged to the objective" (fun () ->
-          float_of_int os.shed);
-      c "jord_slo_windows_closed_total" "Tumbling windows evaluated" (fun () ->
-          float_of_int os.windows_closed);
-      c "jord_slo_alerts_fired_total" "Burn-rate alert firings" (fun () ->
-          float_of_int os.fired);
-      c "jord_slo_alerts_resolved_total" "Burn-rate alert resolutions" (fun () ->
-          float_of_int os.resolved);
-      g "jord_slo_firing" "1 while the alert is firing" (fun () ->
-          if os.firing then 1.0 else 0.0);
-      g "jord_slo_budget_remaining_ratio"
-        "Share of the error budget not yet consumed" (fun () ->
-          let total = os.completed + os.shed in
-          if total = 0 then 1.0
+        (fun r -> r.Rollup.r_bad);
+      c "jord_slo_shed_total" "Shed roots charged to the objective" (fun r ->
+          r.Rollup.r_shed);
+      c "jord_slo_windows_closed_total" "Tumbling windows evaluated" (fun r ->
+          r.Rollup.r_windows_closed);
+      c "jord_slo_alerts_fired_total" "Burn-rate alert firings" (fun r -> r.Rollup.r_fired);
+      c "jord_slo_alerts_resolved_total" "Burn-rate alert resolutions" (fun r ->
+          r.Rollup.r_resolved);
+      g "jord_slo_firing" "1 while the alert is firing" (fun r ->
+          if r.Rollup.r_firing then 1.0 else 0.0);
+      g "jord_slo_budget_remaining_ratio" "Share of the error budget not yet consumed"
+        (fun r ->
+          if r.Rollup.r_requests = 0 then 1.0
           else
             Float.max 0.0
               (1.0
-              -. float_of_int os.bad
-                 /. (os.obj.Slo.budget *. float_of_int total))))
+              -. float_of_int r.Rollup.r_bad
+                 /. (o.Slo.budget *. float_of_int r.Rollup.r_requests))))
     t.objs
 
 (* --- rendering --- *)
 
 let us ps = float_of_int ps /. 1e6
 
-let verdict_row s =
-  let o = s.s_objective in
-  let total = s.s_completed + s.s_shed in
-  let budget_used =
-    if total = 0 then 0.0
-    else float_of_int s.s_bad /. (o.Slo.budget *. float_of_int total) *. 100.0
-  in
-  [
-    o.Slo.name;
-    (match o.Slo.fn with None -> "*" | Some fn -> fn);
-    (match o.Slo.kind with
-    | Slo.Latency ->
-        Printf.sprintf "p%g<%.1fus" o.Slo.percentile (us o.Slo.threshold_ps)
-    | Slo.Availability ->
-        Printf.sprintf "avail>=%g%%" (100.0 *. (1.0 -. o.Slo.budget)));
-    string_of_int total;
-    string_of_int s.s_bad;
-    string_of_int s.s_shed;
-    (match o.Slo.kind with
-    | Slo.Latency ->
-        if s.s_completed = 0 then "-"
-        else Printf.sprintf "%.3f" (us s.s_quantile_ps)
-    | Slo.Availability ->
-        if total = 0 then "-"
-        else
-          Printf.sprintf "%.3f%%"
-            (100.0 *. float_of_int (total - s.s_bad) /. float_of_int total));
-    Printf.sprintf "%.1f%%" budget_used;
-    string_of_int s.s_windows_closed;
-    Printf.sprintf "%d/%d" s.s_fired s.s_resolved;
-    (if s.s_firing then "FIRING"
-     else if s.s_completed = 0 && s.s_shed = 0 then "no-data"
-     else
-       match o.Slo.kind with
-       | Slo.Availability -> if budget_used <= 100.0 then "met" else "VIOLATED"
-       | Slo.Latency ->
-           if s.s_quantile_ps <= o.Slo.threshold_ps && budget_used <= 100.0
-           then "met"
-           else "VIOLATED");
-  ]
-
-let transition_line tr =
-  Printf.sprintf "%12.3fus %-7s %-16s window=%-4d burn fast=%.2f slow=%.2f"
-    (us tr.tr_at_ps)
-    (if tr.tr_firing then "FIRE" else "resolve")
-    tr.tr_objective tr.tr_window tr.tr_burn_fast tr.tr_burn_slow
-
 let alerts_text t =
-  match transitions t with
+  match Rollup.transitions t.core with
   | [] -> "no alert transitions\n"
-  | trs -> String.concat "\n" (List.map transition_line trs) ^ "\n"
+  | trs -> String.concat "" (List.map (fun tr -> Rollup.transition_line tr ^ "\n") trs)
 
 let report_text t =
-  let buf = Buffer.create 2048 in
-  let snaps = snapshot t in
-  Buffer.add_string buf
-    (Jord_util.Render.table
-       ~title:(Printf.sprintf "SLO report (%d objectives)" (List.length snaps))
-       ~header:
-         [
-           "objective"; "fn"; "target"; "requests"; "bad"; "shed"; "measured_us";
-           "budget_used"; "windows"; "fire/res"; "state";
-         ]
-       ~rows:(List.map verdict_row snaps) ());
-  List.iter
-    (fun s ->
-      Buffer.add_string buf
-        (Printf.sprintf "%s: %s\n" s.s_objective.Slo.name
-           (Slo.describe s.s_objective)))
-    snaps;
-  Buffer.add_string buf "alerts:\n";
-  Buffer.add_string buf
-    (match transitions t with
-    | [] -> "  none\n"
-    | trs -> String.concat "\n" (List.map (fun tr -> "  " ^ transition_line tr) trs) ^ "\n");
-  Buffer.contents buf
+  let rows = Rollup.rows t.core in
+  Jord_util.Render.table
+    ~title:(Printf.sprintf "SLO report (%d objectives)" (List.length rows))
+    ~header:Rollup.verdict_header
+    ~rows:(List.map Rollup.verdict_cells rows)
+    ()
+  ^ String.concat ""
+      (List.map
+         (fun (o, _) -> Printf.sprintf "%s: %s\n" o.Slo.name (Slo.describe o))
+         t.objs)
+  ^ Rollup.alert_log t.core
+
+(* Per objective, its closed windows with their start and end. *)
+let iter_windows t f =
+  List.iter2
+    (fun ((o : Slo.objective), _) (_, ws) ->
+      f o
+        (List.map
+           (fun (w : Rollup.closed_window) ->
+             let i = w.Rollup.cw_index in
+             (w, us (i * o.Slo.window_ps), us ((i + 1) * o.Slo.window_ps)))
+           ws))
+    t.objs (Rollup.windows t.core)
 
 let burn_text t =
   let buf = Buffer.create 2048 in
-  List.iter
-    (fun s ->
-      let o = s.s_objective in
+  iter_windows t (fun o ws ->
       Buffer.add_string buf
         (Jord_util.Render.table
-           ~title:
-             (Printf.sprintf "burn rate: %s (%s)" o.Slo.name (Slo.describe o))
+           ~title:(Printf.sprintf "burn rate: %s (%s)" o.Slo.name (Slo.describe o))
            ~header:
-             [ "window"; "start_us"; "end_us"; "total"; "bad"; "burn_fast";
-               "burn_slow"; "state" ]
+             [ "window"; "start_us"; "end_us"; "total"; "bad"; "burn_fast"; "burn_slow"; "state" ]
            ~rows:
              (List.map
-                (fun w ->
+                (fun ((w : Rollup.closed_window), start_us, end_us) ->
                   [
-                    string_of_int w.w_index;
-                    Printf.sprintf "%.1f" (us (w.w_index * o.Slo.window_ps));
-                    Printf.sprintf "%.1f" (us ((w.w_index + 1) * o.Slo.window_ps));
-                    string_of_int w.w_total;
-                    string_of_int w.w_bad;
-                    Printf.sprintf "%.2f" w.w_burn_fast;
-                    Printf.sprintf "%.2f" w.w_burn_slow;
-                    (if w.w_firing then "FIRING" else "ok");
+                    string_of_int w.Rollup.cw_index;
+                    Printf.sprintf "%.1f" start_us;
+                    Printf.sprintf "%.1f" end_us;
+                    string_of_int w.Rollup.cw_total;
+                    string_of_int w.Rollup.cw_bad;
+                    Printf.sprintf "%.2f" w.Rollup.cw_burn_fast;
+                    Printf.sprintf "%.2f" w.Rollup.cw_burn_slow;
+                    (if w.Rollup.cw_firing then "FIRING" else "ok");
                   ])
-                s.s_windows) ());
+                ws)
+           ());
       Buffer.add_string buf
         (Printf.sprintf "burn_fast: %s\n\n"
            (Jord_util.Render.sparkline
-              (List.map (fun w -> w.w_burn_fast) s.s_windows))))
-    (snapshot t);
+              (List.map (fun ((w : Rollup.closed_window), _, _) -> w.Rollup.cw_burn_fast) ws))));
   Buffer.contents buf
 
-let transition_json tr =
+let burn_csv t =
+  let buf = Buffer.create 1024 in
+  Buffer.add_string buf
+    "objective,window,start_us,end_us,total,bad,burn_fast,burn_slow,firing\n";
+  iter_windows t (fun o ws ->
+      List.iter
+        (fun ((w : Rollup.closed_window), start_us, end_us) ->
+          Buffer.add_string buf
+            (Printf.sprintf "%s,%d,%.3f,%.3f,%d,%d,%.4f,%.4f,%d\n" o.Slo.name
+               w.Rollup.cw_index start_us end_us w.Rollup.cw_total w.Rollup.cw_bad
+               w.Rollup.cw_burn_fast w.Rollup.cw_burn_slow
+               (if w.Rollup.cw_firing then 1 else 0)))
+        ws);
+  Buffer.contents buf
+
+let transition_json (tr : Rollup.transition) =
   Json.Obj
     [
-      ("at_us", Json.Float (us tr.tr_at_ps));
-      ("objective", Json.String tr.tr_objective);
-      ("transition", Json.String (if tr.tr_firing then "fire" else "resolve"));
-      ("window", Json.Int tr.tr_window);
-      ("burn_fast", Json.Float tr.tr_burn_fast);
-      ("burn_slow", Json.Float tr.tr_burn_slow);
+      ("at_us", Json.Float (us tr.Rollup.tr_at_ps));
+      ("objective", Json.String tr.Rollup.tr_objective);
+      ("transition", Json.String (if tr.Rollup.tr_firing then "fire" else "resolve"));
+      ("window", Json.Int tr.Rollup.tr_window);
+      ("burn_fast", Json.Float tr.Rollup.tr_burn_fast);
+      ("burn_slow", Json.Float tr.Rollup.tr_burn_slow);
     ]
 
 let alerts_json t =
@@ -540,11 +276,10 @@ let alerts_json t =
     (Json.Obj
        [
          ("jord_slo_alerts", Json.Int 1);
-         ("alerts", Json.List (List.map transition_json (transitions t)));
+         ("alerts", Json.List (List.map transition_json (Rollup.transitions t.core)));
        ])
 
 let report_json t =
-  let snaps = snapshot t in
   let obj_json s =
     let o = s.s_objective in
     Json.Obj
@@ -560,8 +295,7 @@ let report_json t =
             (Array.to_list
                (Array.map
                   (fun ph ->
-                    ( Span.phase_name ph,
-                      Json.Int s.s_phase_sum_ps.(Span.phase_index ph) ))
+                    (Span.phase_name ph, Json.Int s.s_phase_sum_ps.(Span.phase_index ph)))
                   Span.all_phases)) );
         ("measured_quantile_us", Json.Float (us s.s_quantile_ps));
         ("threshold_us", Json.Float (us o.Slo.threshold_ps));
@@ -575,26 +309,6 @@ let report_json t =
     (Json.Obj
        [
          ("jord_slo_report", Json.Int 1);
-         ("objectives", Json.List (List.map obj_json snaps));
-         ("alerts", Json.List (List.map transition_json (transitions t)));
+         ("objectives", Json.List (List.map obj_json (snapshot t)));
+         ("alerts", Json.List (List.map transition_json (Rollup.transitions t.core)));
        ])
-
-let burn_csv t =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    "objective,window,start_us,end_us,total,bad,burn_fast,burn_slow,firing\n";
-  List.iter
-    (fun s ->
-      let o = s.s_objective in
-      List.iter
-        (fun w ->
-          Buffer.add_string buf
-            (Printf.sprintf "%s,%d,%.3f,%.3f,%d,%d,%.4f,%.4f,%d\n" o.Slo.name
-               w.w_index
-               (us (w.w_index * o.Slo.window_ps))
-               (us ((w.w_index + 1) * o.Slo.window_ps))
-               w.w_total w.w_bad w.w_burn_fast w.w_burn_slow
-               (if w.w_firing then 1 else 0)))
-        s.s_windows)
-    (snapshot t);
-  Buffer.contents buf

@@ -1,47 +1,21 @@
-(** The online SLO observability plane: streaming span completion,
-    windowed quantile sketches, and burn-rate alerting — PR 5's post-hoc
-    attribution made available {e at sim time}.
+(** The online SLO plane: streaming span completion feeding the windowed
+    SLO core ({!Rollup}) at sim time.
 
     The pipeline rides the {!Jord_faas.Trace} emit sink ({!attach}): every
     event a server/orchestrator emits is folded into an incremental span
     (the same {!Span.feed} the post-hoc builder uses, which is why the
     online aggregates are {e exactly} equal to the post-hoc fold — the
-    qcheck suite asserts integer-ps equality). When a root span completes,
-    its end-to-end latency and per-phase attribution are recorded into the
-    tumbling window of each matching objective, kept as one
-    {!Jord_telemetry.Sketch} per (window, server): deterministic,
-    associative merging means cluster members can be rolled up in any
-    order with identical results.
+    qcheck suite asserts integer-ps equality). Each event advances the
+    core's watermark; each decided root becomes one {!Rollup.observe}: a
+    completion in the window of its end with its end-to-end latency, a
+    shed root (queue-full drop, deadline timeout) as budget-consuming with
+    no latency, in the window of the shedding instant. The adapter itself
+    keeps only the exact end-to-end and per-phase sums.
 
-    A window closes when the event-time watermark passes its end; closing
-    merges the member servers' sketches (ascending server id), appends the
-    window to the burn-rate history and evaluates the multi-window rule
-    ({!Slo}). Fire/resolve transitions are appended to the alert log,
-    counted, and emitted as [Alert] trace events (with [req_id = -1]) so
-    Perfetto timelines show SLO breaches against the spans that caused
-    them.
-
-    Shed requests (queue-full drops, deadline timeouts) consume error
-    budget: they count as bad without a latency observation. Windows with
-    no traffic burn nothing and resolve a firing alert. *)
-
-type transition = {
-  tr_at_ps : int;  (** The closing window's end. *)
-  tr_objective : string;
-  tr_firing : bool;  (** [true] = fire, [false] = resolve. *)
-  tr_window : int;  (** Index of the window whose close transitioned. *)
-  tr_burn_fast : float;
-  tr_burn_slow : float;
-}
-
-type window_summary = {
-  w_index : int;
-  w_total : int;  (** Roots decided in the window (completed + shed). *)
-  w_bad : int;  (** Over-threshold completions plus shed roots. *)
-  w_burn_fast : float;
-  w_burn_slow : float;
-  w_firing : bool;  (** Alert state after this window's evaluation. *)
-}
+    Windows, burn rates, the fire rule and the verdict cells are the
+    core's. Fire/resolve transitions are emitted as [Alert] trace events
+    (with [req_id = -1]) so Perfetto timelines show SLO breaches against
+    the spans that caused them. *)
 
 type objective_snapshot = {
   s_objective : Slo.objective;
@@ -50,34 +24,33 @@ type objective_snapshot = {
   s_bad : int;  (** Includes [s_shed]. *)
   s_e2e_sum_ps : int;  (** Exact integer sum over completed roots. *)
   s_phase_sum_ps : int array;  (** Indexed by {!Span.phase_index}; exact. *)
-  s_sketch : Jord_telemetry.Sketch.t;  (** All completions, merged. *)
+  s_sketch : Jord_telemetry.Sketch.t;  (** All completions. *)
   s_quantile_ps : int;  (** [s_sketch] at the objective's percentile. *)
   s_windows_closed : int;
   s_fired : int;
   s_resolved : int;
   s_firing : bool;
-  s_transitions : transition list;  (** Chronological. *)
-  s_windows : window_summary list;  (** Chronological. *)
-  s_per_sid : (int * Jord_telemetry.Sketch.t) list;
-      (** Completion sketches per server id, ascending — merging these in
-          any order reproduces [s_sketch] (asserted by the tests). *)
+  s_windows : Rollup.closed_window list;  (** Chronological. *)
 }
 
 type t
 
 val create : Slo.objective list -> t
 
+val rollup : t -> Rollup.t
+(** The windowed core the adapter feeds. *)
+
 val attach : t -> Jord_faas.Trace.t -> unit
-(** Install {!observe} as the tracer's emit sink and use the tracer for
-    [Alert] transition events. *)
+(** Install {!observe} as the tracer's emit sink and emit the core's
+    transitions into the tracer as [Alert] events. *)
 
 val observe : t -> Jord_faas.Trace.event -> unit
 (** Feed one event (events must arrive in emission order). System events
     ([req_id < 0], e.g. this pipeline's own alerts) are ignored. *)
 
 val finish : t -> now_ps:int -> unit
-(** Advance the watermark to the end of the run and close every window
-    through it (including the final partial one). Call once, after the
+(** {!Rollup.finish}: close every window that started before the end of
+    the run (plus any later one holding a root). Call once, after the
     engine drains; reports are stable afterwards. *)
 
 val replay :
@@ -88,10 +61,7 @@ val replay :
     and replayed pipelines over the same events produce identical
     snapshots. *)
 
-val objectives : t -> Slo.objective list
 val snapshot : t -> objective_snapshot list
-val transitions : t -> transition list
-(** All objectives' transitions, chronological. *)
 
 val register_metrics :
   t -> ?labels:(string * string) list -> Jord_telemetry.Registry.t -> unit

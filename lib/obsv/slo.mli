@@ -40,6 +40,11 @@ val presets : (string * objective list) list
 (** [none] (empty — the inert spelling), [default], [tight] (p99 < 5 us,
     0.5% budget) and [ci] (p99 < 8 us over 100 us windows, 2% budget). *)
 
+val validate : objective -> (objective, string) result
+(** Range checks every parsed objective passes: [0 < p < 100],
+    positive threshold and window, [0 < budget < 1],
+    [1 <= fast <= slow] and [burn > 0]. *)
+
 val parse : string -> (objective list, string) result
 (** Parse a spec: a preset name, a preset with overrides
     (["ci,threshold_us=5"]), or one-or-more inline objectives separated by

@@ -143,6 +143,7 @@ let test_rollup_verdicts () =
   let r = Rollup.create [ objective ] in
   for i = 0 to 99 do
     Rollup.observe r ~at_ps:(i * 1_000_000) ~fn:"f" ~latency_ps:5_000_000 ~shed:false
+      ~trace_id:(-1)
   done;
   Rollup.finish r ~now_ps:2_000_000_000;
   (match Rollup.rows r with
@@ -156,6 +157,7 @@ let test_rollup_verdicts () =
   let r = Rollup.create [ objective ] in
   for i = 0 to 99 do
     Rollup.observe r ~at_ps:(i * 10_000_000) ~fn:"f" ~latency_ps:0 ~shed:true
+      ~trace_id:(-1)
   done;
   Rollup.finish r ~now_ps:1_000_000_000;
   (match Rollup.rows r with
@@ -169,6 +171,7 @@ let test_rollup_verdicts () =
   let r = Rollup.create [ objective ] in
   for i = 0 to 99 do
     Rollup.observe r ~at_ps:(i * 10_000_000) ~fn:"f" ~latency_ps:0 ~shed:true
+      ~trace_id:(-1)
   done;
   Rollup.finish r ~now_ps:5_000_000_000;
   (match Rollup.rows r with

@@ -12,6 +12,7 @@ module Engine = Jord_sim.Engine
 module Span = Jord_obsv.Span
 module Slo = Jord_obsv.Slo
 module Online = Jord_obsv.Online
+module Rollup = Jord_obsv.Rollup
 module Sketch = Jord_telemetry.Sketch
 
 let contains needle hay =
@@ -169,6 +170,75 @@ let test_spec_file () =
           Alcotest.(check bool) "error carries file:line" true
             (contains (path ^ ":2") e))
 
+(* --- parser fuzzing --- *)
+
+(* Random specs stitched from parser-relevant fragments (keys, separators,
+   non-finite and out-of-range numbers, presets) and random runs over the
+   spec alphabet. *)
+let gen_spec =
+  let open QCheck.Gen in
+  let alphabet = "abcdefghijklmnopqrstuvwxyz0123456789=,;._ -" in
+  let noise =
+    string_size ~gen:(map (String.get alphabet) (int_bound (String.length alphabet - 1)))
+      (int_range 0 8)
+  in
+  let fragment =
+    oneof
+      [
+        noise;
+        oneofl
+          [
+            "name="; "fn="; "kind="; "p="; "threshold_us="; "window_us="; "budget=";
+            "fast="; "slow="; "burn="; "latency"; "availability"; ","; ";"; "=";
+            "nan"; "inf"; "-inf"; "1e308"; "1e999"; "-1e999"; "9e18"; "0.5"; "99";
+            "-3"; "0"; "ci"; "default"; "tight"; "none";
+          ];
+      ]
+  in
+  map (String.concat "") (list_size (int_range 0 12) fragment)
+
+let prop_parse_fuzz =
+  QCheck.Test.make ~name:"slo parse: no exception escapes, every Ok objective validates"
+    ~count:2000
+    (QCheck.make ~print:(Printf.sprintf "%S") gen_spec)
+    (fun spec ->
+      match Slo.parse spec with
+      | exception e -> QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e)
+      | Error _ -> true
+      | Ok objectives -> List.for_all (fun o -> Slo.validate o = Ok o) objectives)
+
+(* Objectives whose numbers sit on grids [%g] prints exactly. *)
+let gen_grid_objective =
+  let open QCheck.Gen in
+  let* name = oneofl [ "a"; "tail"; "p99-x"; "checkout.slo" ] in
+  let* fn = oneofl [ None; Some "entry"; Some "GetCart" ] in
+  let* kind = oneofl [ Slo.Latency; Slo.Availability ] in
+  let* percentile = oneofl [ 50.0; 90.0; 95.0; 99.0; 99.9; 99.99 ] in
+  let* threshold_us = int_range 1 5000 in
+  let* window_us = int_range 1 100_000 in
+  let* budget = oneofl [ 0.5; 0.1; 0.05; 0.02; 0.01; 0.001 ] in
+  let* fast_windows = int_range 1 4 in
+  let* extra = int_range 0 6 in
+  let* burn_threshold = oneofl [ 0.5; 1.0; 2.0; 6.0; 14.4 ] in
+  return
+    {
+      Slo.name;
+      fn;
+      kind;
+      percentile;
+      threshold_ps = threshold_us * 1_000_000;
+      window_ps = window_us * 1_000_000;
+      budget;
+      fast_windows;
+      slow_windows = fast_windows + extra;
+      burn_threshold;
+    }
+
+let prop_to_string_roundtrip =
+  QCheck.Test.make ~name:"slo parse . to_string = id on grid-valued objectives" ~count:500
+    (QCheck.make ~print:Slo.to_string gen_grid_objective)
+    (fun o -> Slo.validate o = Ok o && Slo.parse (Slo.to_string o) = Ok [ o ])
+
 (* --- rule-engine edge cases over synthetic traces --- *)
 
 let ev ?(kind = Trace.Arrive) ?(req = 0) ?(dur = 0) ?(sid = 0) ?(fn = "f") at =
@@ -217,11 +287,11 @@ let test_alert_flap_ordering () =
     @ root ~req:2 ~at:2000 ~e2e:200 ()
   in
   let t = Online.replay ~objectives:[ flap_objective ] ~finish_ps:2999 events in
-  let trs = Online.transitions t in
+  let trs = Rollup.transitions (Online.rollup t) in
   Alcotest.(check (list (pair int bool)))
     "fire/resolve/fire at window closes"
     [ (1000, true); (2000, false); (3000, true) ]
-    (List.map (fun tr -> (tr.Online.tr_at_ps, tr.Online.tr_firing)) trs);
+    (List.map (fun tr -> (tr.Rollup.tr_at_ps, tr.Rollup.tr_firing)) trs);
   match Online.snapshot t with
   | [ s ] ->
       Alcotest.(check int) "fired" 2 s.Online.s_fired;
@@ -240,7 +310,7 @@ let test_zero_traffic_burns_nothing () =
         (s.Online.s_windows_closed >= 5);
       Alcotest.(check bool) "every window burns zero" true
         (List.for_all
-           (fun w -> w.Online.w_burn_fast = 0.0 && w.Online.w_burn_slow = 0.0)
+           (fun w -> w.Rollup.cw_burn_fast = 0.0 && w.Rollup.cw_burn_slow = 0.0)
            s.Online.s_windows)
   | _ -> Alcotest.fail "one objective");
   (* A bad window followed by silence: the fire must resolve on the first
@@ -249,11 +319,86 @@ let test_zero_traffic_burns_nothing () =
     Online.replay ~objectives:[ flap_objective ] ~finish_ps:4999
       (root ~req:0 ~at:0 ~e2e:200 ())
   in
-  let trs = Online.transitions t in
+  let trs = Rollup.transitions (Online.rollup t) in
   Alcotest.(check (list (pair int bool)))
     "fire then resolve on the empty window"
     [ (1000, true); (2000, false) ]
-    (List.map (fun tr -> (tr.Online.tr_at_ps, tr.Online.tr_firing)) trs)
+    (List.map (fun tr -> (tr.Rollup.tr_at_ps, tr.Rollup.tr_firing)) trs)
+
+(* One untraced completion of "f" (or [fn]) in the window of [at]. *)
+let observe ?(fn = "f") r at =
+  Rollup.observe r ~at_ps:at ~fn ~latency_ps:50 ~shed:false ~trace_id:(-1)
+
+let test_post_run_window () =
+  (* A run that ends on a window boundary closes the windows it started
+     and none after it. *)
+  let t = Online.replay ~objectives:[ flap_objective ] ~finish_ps:5000 [] in
+  (match Online.snapshot t with
+  | [ s ] ->
+      Alcotest.(check int) "five windows" 5 s.Online.s_windows_closed;
+      Alcotest.(check bool) "every closed window starts before the end" true
+        (List.for_all
+           (fun w -> w.Rollup.cw_index * flap_objective.Slo.window_ps < 5000)
+           s.Online.s_windows)
+  | _ -> Alcotest.fail "one objective");
+  let closed r =
+    match Rollup.windows r with
+    | [ (_, ws) ] -> List.map (fun w -> (w.Rollup.cw_index, w.Rollup.cw_total)) ws
+    | _ -> Alcotest.fail "one objective"
+  in
+  (* An empty final partial window closes too... *)
+  let r = Rollup.create [ flap_objective ] in
+  Rollup.finish r ~now_ps:2500;
+  Alcotest.(check (list (pair int int))) "partial window closed"
+    [ (0, 0); (1, 0); (2, 0) ]
+    (closed r);
+  (* ...and so does a later window holding an observation (a root whose
+     end lies past the end of the run), however far ahead it lies. *)
+  let r = Rollup.create [ flap_objective ] in
+  observe r 500;
+  observe r 9500;
+  Rollup.finish r ~now_ps:1000;
+  Alcotest.(check (list (pair int int))) "through the observed window"
+    (List.init 10 (fun i -> (i, if i = 0 || i = 9 then 1 else 0)))
+    (closed r)
+
+let test_closed_window_contract () =
+  let raises f = match f () with exception Invalid_argument _ -> true | () -> false in
+  let r = Rollup.create [ flap_objective ] in
+  observe r 500;
+  Rollup.advance r ~now_ps:2000;
+  Alcotest.(check bool) "observation for a closed window" true
+    (raises (fun () -> observe r 1999));
+  Alcotest.(check bool) "open window still accepts" false (raises (fun () -> observe r 2000));
+  let only_f = Rollup.create [ { flap_objective with Slo.fn = Some "f" } ] in
+  Rollup.advance only_f ~now_ps:5000;
+  Alcotest.(check bool) "another function's observation is not filed" false
+    (raises (fun () -> observe ~fn:"g" only_f 0));
+  Rollup.finish r ~now_ps:3000;
+  Alcotest.(check bool) "observation after finish" true (raises (fun () -> observe r 9000));
+  (* Online: a root completing (by its end) in a window the watermark
+     already closed is a contract violation, not a silent loss. *)
+  Alcotest.(check bool) "online root in a closed window" true
+    (raises (fun () ->
+         ignore
+           (Online.replay ~objectives:[ flap_objective ]
+              (root ~req:1 ~at:2500 ~e2e:10 () @ root ~req:0 ~at:400 ~e2e:100 ()))))
+
+let test_observe_allocates_nothing () =
+  (* The fleet files one observation per request: a traced completion in
+     the open window must not touch the minor heap. *)
+  let r = Rollup.create [ flap_objective; { flap_objective with Slo.name = "g"; fn = Some "g" } ] in
+  let file i =
+    Rollup.observe r ~at_ps:(i / 1000) ~fn:"f" ~latency_ps:50 ~shed:false ~trace_id:i
+  in
+  file 0;
+  let before = Gc.minor_words () in
+  for i = 1 to 10_000 do
+    file i
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) (Printf.sprintf "%.0f minor words for 10k observations" words) true
+    (words < 100.0)
 
 let test_shed_consumes_budget () =
   (* A shed root (Timeout) counts as bad without a latency observation. *)
@@ -270,7 +415,7 @@ let test_shed_consumes_budget () =
       Alcotest.(check int) "sketch sees completions only" 1
         (Sketch.count s.Online.s_sketch);
       Alcotest.(check int) "one window, two decided" 2
-        (match s.Online.s_windows with [ w ] -> w.Online.w_total | _ -> -1)
+        (match s.Online.s_windows with [ w ] -> w.Rollup.cw_total | _ -> -1)
   | _ -> Alcotest.fail "one objective"
 
 let test_availability_objective () =
@@ -498,24 +643,9 @@ let prop_online_equals_posthoc =
              && Sketch.sum s.Online.s_sketch = e2e_sum
              (* All decided roots landed in some closed window. *)
              && List.fold_left
-                  (fun a w -> a + w.Online.w_total)
+                  (fun a w -> a + w.Rollup.cw_total)
                   0 s.Online.s_windows
-                = completed + shed
-             (* Merging the per-server sketches in ANY order reproduces the
-                merged sketch. *)
-             && (let merged_fwd =
-                   List.fold_left
-                     (fun acc (_, sk) -> Sketch.merge acc sk)
-                     (Sketch.create ()) s.Online.s_per_sid
-                 in
-                 let merged_rev =
-                   List.fold_left
-                     (fun acc (_, sk) -> Sketch.merge acc sk)
-                     (Sketch.create ())
-                     (List.rev s.Online.s_per_sid)
-                 in
-                 Sketch.equal merged_fwd s.Online.s_sketch
-                 && Sketch.equal merged_rev s.Online.s_sketch))
+                = completed + shed)
            snaps
       (* A replay of the recorded events (which include the live run's own
          alert events) reproduces the live pipeline exactly. *)
@@ -560,6 +690,13 @@ let suite =
     Alcotest.test_case "alerts: flap ordering" `Quick test_alert_flap_ordering;
     Alcotest.test_case "alerts: zero traffic burns nothing" `Quick
       test_zero_traffic_burns_nothing;
+    Alcotest.test_case "windows: none after the run ends" `Quick test_post_run_window;
+    Alcotest.test_case "windows: a closed window takes no observation" `Quick
+      test_closed_window_contract;
+    Alcotest.test_case "core: filing an observation allocates nothing" `Quick
+      test_observe_allocates_nothing;
+    QCheck_alcotest.to_alcotest prop_parse_fuzz;
+    QCheck_alcotest.to_alcotest prop_to_string_roundtrip;
     Alcotest.test_case "shed requests consume budget" `Quick
       test_shed_consumes_budget;
     Alcotest.test_case "availability objectives parse and burn on shed only"
