@@ -995,47 +995,37 @@ let trace_cmd =
          & info [] ~docv:"FILE"
              ~doc:"JSONL trace written by $(b,jordctl run --trace-out).")
   in
-  let spans_of path =
+  (* Load once, match once: either kind of trace file yields the shared
+     report input plus its own Perfetto export. *)
+  let load path =
     match Jord_obsv.Tracefile.load ~path with
     | Error msg ->
         prerr_endline ("jordctl: " ^ msg);
         exit 2
-    | Ok l ->
+    | Ok (Jord_obsv.Tracefile.Server l) ->
         (* A wrapped ring means every report below covers a suffix of the run
            only — say so where the user will see it. *)
         if l.Jord_obsv.Tracefile.truncated then
           Printf.eprintf "WARNING: ring truncated, %d events dropped\n"
             (l.Jord_obsv.Tracefile.total_emitted
             - List.length l.Jord_obsv.Tracefile.events);
-        (l, Jord_obsv.Tracefile.spans l)
-  in
-  (* Every subcommand dispatches on the file's header: single-node/cluster
-     event traces go through the span forest, fleet traces (jord_fleet_trace
-     header, written by `run --fleet --trace-out`) through Freport. *)
-  let fleet_of path =
-    match Jord_obsv.Ftrace.load ~path with
-    | Error msg ->
-        prerr_endline ("jordctl: " ^ msg);
-        exit 2
-    | Ok l -> l
+        let r = Jord_obsv.Tracefile.spans l in
+        ( Jord_obsv.Critical_path.report r,
+          fun () ->
+            Jord_obsv.Export.chrome_json
+              ~orch_cores:(Jord_obsv.Tracefile.orch_cores l)
+              ~events:l.Jord_obsv.Tracefile.events r )
+    | Ok (Jord_obsv.Tracefile.Fleet l) ->
+        (Jord_obsv.Freport.report l, fun () -> Jord_obsv.Freport.chrome_json l)
   in
   (* Attribution that does not sum exactly to end-to-end latency is a tool
      bug, not a degraded report — fail loudly (CI greps for this). *)
-  let check r = if not (Jord_obsv.Report.conservation_ok r) then exit 3 in
-  let fleet_check l = if not (Jord_obsv.Freport.conservation_ok l) then exit 3 in
+  let print_checked report t =
+    print_string (report t);
+    if not (Jord_obsv.Report.conservation_ok t) then exit 3
+  in
   let breakdown_cmd =
-    let run path =
-      if Jord_obsv.Ftrace.is_fleet_file ~path then begin
-        let l = fleet_of path in
-        print_string (Jord_obsv.Freport.breakdown l);
-        fleet_check l
-      end
-      else begin
-        let _, r = spans_of path in
-        print_string (Jord_obsv.Report.breakdown r);
-        check r
-      end
-    in
+    let run path = print_checked Jord_obsv.Report.breakdown (fst (load path)) in
     Cmd.v
       (Cmd.info "breakdown"
          ~doc:"Per-phase latency attribution per entry function, with the \
@@ -1047,38 +1037,18 @@ let trace_cmd =
       Arg.(value & opt pos_int 10
            & info [ "n" ] ~docv:"N" ~doc:"How many requests to show.")
     in
-    let run path n =
-      if Jord_obsv.Ftrace.is_fleet_file ~path then
-        print_string (Jord_obsv.Freport.slowest ~n (fleet_of path))
-      else begin
-        let _, r = spans_of path in
-        print_string (Jord_obsv.Report.slowest ~n r)
-      end
-    in
+    let run path n = print_string (Jord_obsv.Report.slowest ~n (fst (load path))) in
     Cmd.v
       (Cmd.info "slowest" ~doc:"The N slowest completed requests with their phase splits")
       Term.(const run $ file_pos $ n)
   in
   let critical_cmd =
-    let run path =
-      if Jord_obsv.Ftrace.is_fleet_file ~path then begin
-        (* Fleet spans are flat, so "critical path" means the blame report:
-           which phase owns the p99 tail, per fn and per member. *)
-        let l = fleet_of path in
-        print_string (Jord_obsv.Freport.blame l);
-        fleet_check l
-      end
-      else begin
-        let _, r = spans_of path in
-        print_string (Jord_obsv.Report.critical_path r);
-        check r
-      end
-    in
+    let run path = print_checked Jord_obsv.Report.blame (fst (load path)) in
     Cmd.v
       (Cmd.info "critical-path"
-         ~doc:"Blame along the longest causal chain of each fan-out tree (fleet \
-               traces: the phase-blame verdict per fn and member), plus the p99 \
-               tail verdict")
+         ~doc:"Phase blame per entry function and the p99 tail verdict: along \
+               the longest causal chain of each fan-out tree (fleet traces: \
+               each request's own phases, plus the per-member view)")
       Term.(const run $ file_pos)
   in
   let export_cmd =
@@ -1094,22 +1064,12 @@ let trace_cmd =
                      (per-function blame profiles).")
     in
     let run path out fmt =
+      let t, chrome = load path in
       let body =
-        if Jord_obsv.Ftrace.is_fleet_file ~path then
-          let l = fleet_of path in
-          match fmt with
-          | `Chrome -> Jord_obsv.Freport.chrome_json l
-          | `Json -> Jord_obsv.Freport.blame_json l
-          | `Csv -> Jord_obsv.Freport.blame_csv l
-        else
-          let l, r = spans_of path in
-          match fmt with
-          | `Chrome ->
-              Jord_obsv.Export.chrome_json
-                ~orch_cores:(Jord_obsv.Tracefile.orch_cores l)
-                ~events:l.Jord_obsv.Tracefile.events r
-          | `Json -> Jord_obsv.Export.blame_json r
-          | `Csv -> Jord_obsv.Export.blame_csv r
+        match fmt with
+        | `Chrome -> chrome ()
+        | `Json -> Jord_obsv.Report.blame_json t
+        | `Csv -> Jord_obsv.Report.blame_csv t
       in
       let oc = open_out out in
       output_string oc body;
@@ -1150,31 +1110,30 @@ let slo_cmd =
      uses: a run with --slo and an offline `jordctl slo` over its --trace-out
      produce identical reports. *)
   let replay_of path spec =
-    (* Fleet traces hold sampled spans, not the complete event stream, so an
-       offline SLO replay would silently mis-count; the fleet run prints its
-       rollup live (and --slo-out saves it). *)
-    if Jord_obsv.Ftrace.is_fleet_file ~path then begin
-      Printf.eprintf
-        "jordctl slo: %s is a fleet trace (tail-sampled spans, not the full \
-         event stream)\n\
-         hint: fleet SLO verdicts come from the run itself: `jordctl run \
-         --fleet N --slo SPEC [--slo-out FILE]`\n"
-        path;
-      exit 2
-    end;
-    match Jord_obsv.Slo.parse_arg spec with
+    match Jord_obsv.Tracefile.load ~path with
     | Error msg ->
-        prerr_endline ("jordctl: bad --slo spec: " ^ msg);
+        prerr_endline ("jordctl: " ^ msg);
         exit 2
-    | Ok [] ->
-        prerr_endline "jordctl: the spec selects no objectives (preset \"none\")";
+    | Ok (Jord_obsv.Tracefile.Fleet _) ->
+        (* Fleet traces hold sampled spans, not the complete event stream, so
+           an offline SLO replay would silently mis-count; the fleet run
+           prints its rollup live (and --slo-out saves it). *)
+        Printf.eprintf
+          "jordctl slo: %s is a fleet trace (tail-sampled spans, not the full \
+           event stream)\n\
+           hint: fleet SLO verdicts come from the run itself: `jordctl run \
+           --fleet N --slo SPEC [--slo-out FILE]`\n"
+          path;
         exit 2
-    | Ok objectives -> (
-        match Jord_obsv.Tracefile.load ~path with
+    | Ok (Jord_obsv.Tracefile.Server l) -> (
+        match Jord_obsv.Slo.parse_arg spec with
         | Error msg ->
-            prerr_endline ("jordctl: " ^ msg);
+            prerr_endline ("jordctl: bad --slo spec: " ^ msg);
             exit 2
-        | Ok l ->
+        | Ok [] ->
+            prerr_endline "jordctl: the spec selects no objectives (preset \"none\")";
+            exit 2
+        | Ok objectives ->
             if l.Jord_obsv.Tracefile.truncated then
               Printf.eprintf "WARNING: ring truncated, %d events dropped\n"
                 (l.Jord_obsv.Tracefile.total_emitted

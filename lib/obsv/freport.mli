@@ -1,36 +1,20 @@
-(** Reports over a loaded fleet trace ({!Ftrace.loaded}).
+(** The fleet-only parts of [jordctl trace] over a fleet trace file
+    ({!Tracefile.fleet}).
 
     Fleet spans are flat — one record per request with six exclusive
-    phases — so the critical-path question becomes phase *blame*: which
-    phase owns the p99 tail, per entry function and per member, and how
-    evenly the balancer spread the retained load. All statistics are over
-    the retained (tail-sampled) span set; every report's headline says
-    how many spans survived out of how many requests. *)
+    phases — so the same rows serve {!Report}'s breakdown and its blame
+    report. This module adds what only a fleet has: the retention headline
+    (every report's first line says how many spans survived tail sampling
+    out of how many requests), the per-member table and LB-imbalance
+    summary that close the blame report, and the Perfetto export. *)
 
-val conservation_ok : Ftrace.loaded -> bool
-(** Every retained span satisfies {!Fspan.conservation_ok}. *)
+val report : Tracefile.fleet -> Report.t
+(** Completed requests as rows; the conservation check covers every
+    retained span, shed ones included. The blame report's verdict reads
+    "verdict: X dominates the fleet p99 tail" and is followed by the
+    per-member table (top 16 by retained load, deterministic order) and
+    the LB-imbalance line. *)
 
-val breakdown : Ftrace.loaded -> string
-(** Per-phase latency attribution per entry function, with the
-    conservation verdict. *)
-
-val slowest : ?n:int -> Ftrace.loaded -> string
-(** The [n] slowest retained completed requests with their phase splits
-    (ties broken by request id). *)
-
-val blame : Ftrace.loaded -> string
-(** The fleet blame report: per-fn attribution and tail splits, the
-    fleet-wide p99 verdict naming the dominant phase ("p99 is X%
-    cold_start / Y% member_queue / ..."), the per-member table (top 16 by
-    retained load, deterministic order) and the LB-imbalance summary. *)
-
-val chrome_json : Ftrace.loaded -> string
+val chrome_json : Tracefile.fleet -> string
 (** Perfetto trace-event document: one process track for the balancer,
     one per member, request/response wire hops drawn as flow arrows. *)
-
-val blame_json : Ftrace.loaded -> string
-(** Per-function blame profile (phase means plus tail shares) as JSON. *)
-
-val blame_csv : Ftrace.loaded -> string
-(** Flat CSV per (function, phase), same column conventions as the
-    single-node {!Export.blame_csv}. *)

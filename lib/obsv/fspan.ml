@@ -68,11 +68,22 @@ let e2e_ps sp = sp.end_ps - sp.submit_ps
 let phase_ps sp ph = sp.phases.(phase_index ph)
 let sum_phases sp = Array.fold_left ( + ) 0 sp.phases
 
+(* The request as a report row, labelled for the slowest table with its
+   member and a '*' for a cold start. *)
+let row sp =
+  {
+    Report.id = sp.req_id;
+    fn = sp.fn;
+    label =
+      Printf.sprintf "#%d %s@m%d%s" sp.req_id sp.fn sp.member (if sp.cold then "*" else "");
+    e2e_ps = e2e_ps sp;
+    phases = sp.phases;
+  }
+
 (* The conservation identity: phases are exclusive and exhaustive, so their
    exact integer sum must equal the end-to-end latency. A violation means
    the fleet plumbing mis-stamped an event — a tool bug, never data. *)
-let conservation_ok sp =
-  sum_phases sp = e2e_ps sp && Array.for_all (fun v -> v >= 0) sp.phases
+let conservation_ok sp = Report.violations [ row sp ] = []
 
 let to_json_line ~keep sp =
   let buf = Buffer.create 160 in

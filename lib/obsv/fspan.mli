@@ -47,8 +47,13 @@ val e2e_ps : t -> int
 val phase_ps : t -> phase -> int
 val sum_phases : t -> int
 
+val row : t -> Report.row
+(** The span's phase split as a report row, labelled ["#id fn@mM"] plus
+    ["*"] when the member paid a cold start. *)
+
 val conservation_ok : t -> bool
-(** Phases are non-negative and sum exactly to [e2e_ps]. *)
+(** Phases are non-negative and sum exactly to [e2e_ps]
+    ({!Report.violations}). *)
 
 val to_json_line : keep:string -> t -> string
 (** One compact JSONL object (no trailing newline); [keep] is the

@@ -59,7 +59,8 @@ let keep_counts t =
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 (* --- fleet trace files: JSONL, one header object then one span per line,
-   sorted by request id (the sampler's canonical order) --- *)
+   sorted by request id (the sampler's canonical order); read back by
+   Tracefile.load --- *)
 
 let format_version = 1
 
@@ -87,72 +88,3 @@ let save ~path ?(meta = []) t =
           output_string oc (Fspan.to_json_line ~keep sp);
           output_char oc '\n')
         spans)
-
-type loaded = {
-  spans : (string * Fspan.t) list;  (** [(keep_reason, span)], by req id. *)
-  offered_total : int;
-  meta : Json.t;  (** The whole header object. *)
-}
-
-let int_member ?(default = 0) key j =
-  match Json.member key j with Some (Json.Int i) -> i | _ -> default
-
-let load ~path =
-  match open_in path with
-  | exception Sys_error msg -> Error msg
-  | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () ->
-          let parse_line n line =
-            match Json.of_string line with
-            | Error msg -> Error (Printf.sprintf "%s:%d: %s" path n msg)
-            | Ok j -> Ok j
-          in
-          match input_line ic with
-          | exception End_of_file -> Error (path ^ ": empty trace file")
-          | first -> (
-              match parse_line 1 first with
-              | Error _ as e -> e
-              | Ok header when Json.member "jord_fleet_trace" header = None ->
-                  Error
-                    (path
-                   ^ ": not a fleet trace file (missing jord_fleet_trace header)")
-              | Ok header ->
-                  let rec go n acc =
-                    match input_line ic with
-                    | exception End_of_file -> Ok (List.rev acc)
-                    | "" -> go (n + 1) acc
-                    | line -> (
-                        match parse_line n line with
-                        | Error _ as e -> e
-                        | Ok j -> (
-                            match Fspan.of_json j with
-                            | Error msg ->
-                                Error (Printf.sprintf "%s:%d: %s" path n msg)
-                            | Ok ks -> go (n + 1) (ks :: acc)))
-                  in
-                  Result.map
-                    (fun spans ->
-                      {
-                        spans;
-                        offered_total = int_member "offered" header;
-                        meta = header;
-                      })
-                    (go 2 [])))
-
-(* Header peek so jordctl can dispatch one [--trace] path to either the
-   single-node or the fleet reader. *)
-let is_fleet_file ~path =
-  match open_in path with
-  | exception Sys_error _ -> false
-  | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () ->
-          match input_line ic with
-          | exception End_of_file -> false
-          | first -> (
-              match Json.of_string first with
-              | Ok j -> Json.member "jord_fleet_trace" j <> None
-              | Error _ -> false))

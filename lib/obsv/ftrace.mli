@@ -10,8 +10,6 @@
 type t
 
 val create : ?seed:int -> ?reservoir:int -> unit -> t
-val seed : t -> int
-val reservoir : t -> int
 
 val offered : t -> int
 (** Spans recorded so far (the run's decided-request count). *)
@@ -36,16 +34,5 @@ val keep_counts : t -> (string * int) list
 val save : path:string -> ?meta:(string * Jord_util.Json.t) list -> t -> unit
 (** Write the retained set as JSONL: a header object carrying
     ["jord_fleet_trace"], offered/retained counts, sampler seed and
-    reservoir plus [meta], then one compact span object per line. *)
-
-type loaded = {
-  spans : (string * Fspan.t) list;  (** [(keep_reason, span)], by req id. *)
-  offered_total : int;
-  meta : Jord_util.Json.t;  (** The whole header object. *)
-}
-
-val load : path:string -> (loaded, string) result
-
-val is_fleet_file : path:string -> bool
-(** Peek at the first line: is this a fleet trace file (as opposed to a
-    single-node {!Tracefile})? Missing or unreadable files are [false]. *)
+    reservoir plus [meta], then one compact span object per line.
+    {!Tracefile.load} reads it back. *)

@@ -184,8 +184,6 @@ let register_metrics t ?(labels = []) registry =
 
 (* --- rendering --- *)
 
-let us ps = float_of_int ps /. 1e6
-
 let alerts_text t =
   match Rollup.transitions t.core with
   | [] -> "no alert transitions\n"
@@ -212,7 +210,7 @@ let iter_windows t f =
         (List.map
            (fun (w : Rollup.closed_window) ->
              let i = w.Rollup.cw_index in
-             (w, us (i * o.Slo.window_ps), us ((i + 1) * o.Slo.window_ps)))
+             (w, Report.us (i * o.Slo.window_ps), Report.us ((i + 1) * o.Slo.window_ps)))
            ws))
     t.objs (Rollup.windows t.core)
 
@@ -263,7 +261,7 @@ let burn_csv t =
 let transition_json (tr : Rollup.transition) =
   Json.Obj
     [
-      ("at_us", Json.Float (us tr.Rollup.tr_at_ps));
+      ("at_us", Json.Float (Report.us tr.Rollup.tr_at_ps));
       ("objective", Json.String tr.Rollup.tr_objective);
       ("transition", Json.String (if tr.Rollup.tr_firing then "fire" else "resolve"));
       ("window", Json.Int tr.Rollup.tr_window);
@@ -297,8 +295,8 @@ let report_json t =
                   (fun ph ->
                     (Span.phase_name ph, Json.Int s.s_phase_sum_ps.(Span.phase_index ph)))
                   Span.all_phases)) );
-        ("measured_quantile_us", Json.Float (us s.s_quantile_ps));
-        ("threshold_us", Json.Float (us o.Slo.threshold_ps));
+        ("measured_quantile_us", Json.Float (Report.us s.s_quantile_ps));
+        ("threshold_us", Json.Float (Report.us o.Slo.threshold_ps));
         ("windows_closed", Json.Int s.s_windows_closed);
         ("alerts_fired", Json.Int s.s_fired);
         ("alerts_resolved", Json.Int s.s_resolved);

@@ -56,8 +56,6 @@ val e2e_ps : t -> int
 val complete : t -> bool
 (** Finished with a retained birth: attribution covers its whole life. *)
 
-val phase_ps : t -> phase -> int
-val sum_phases : t -> int
 
 type result = {
   spans : (int, t) Hashtbl.t;
@@ -94,6 +92,11 @@ val iter_spans : result -> (t -> unit) -> unit
 val roots : result -> t list
 (** Spans of root requests (depth 0), oldest first. *)
 
+val complete_roots : result -> t list
+
+val row : t -> Report.row
+(** The span's own phase split as a report row, labelled ["#id fn"]. *)
+
 val timeline : t -> (phase * int * int) list
 (** Chronological attributed intervals. *)
 
@@ -101,8 +104,9 @@ val segments : t -> seg list
 (** Chronological executor-occupancy segments (with core and server). *)
 
 val conservation_violations : result -> string list
-(** One message per complete span violating the conservation identity;
-    [[]] means every attributed picosecond is accounted for. *)
+(** One message per complete span violating the conservation identity
+    ({!Report.violations}) or holding events below its attribution
+    frontier; [[]] means every attributed picosecond is accounted for. *)
 
 val stats : result -> int * int * int * int
 (** (spans, completed, shed, partial). *)

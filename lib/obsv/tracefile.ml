@@ -4,7 +4,8 @@ module Json = Jord_util.Json
 (* JSONL trace files: one header object, then one compact object per event,
    oldest retained first. All times are integer picoseconds — the format
    round-trips exactly (the Chrome export's float microseconds do not),
-   which the conservation checks depend on. *)
+   which the conservation checks depend on. [load] also reads the fleet's
+   span files, which share the layout under their own header key. *)
 
 let format_version = 1
 
@@ -49,13 +50,16 @@ let save ~path ?(meta = []) tr =
           Buffer.add_string buf "}\n";
           Buffer.output_buffer oc buf))
 
-type loaded = {
+type server = {
   events : Trace.event list;  (** Oldest first. *)
   truncated : bool;
   total_emitted : int;
   capacity : int;
   meta : Json.t;  (** The whole header object. *)
 }
+
+type fleet = { spans : (string * Fspan.t) list; offered_total : int }
+type loaded = Server of server | Fleet of fleet
 
 let int_member ?(default = 0) key j =
   match Json.member key j with Some (Json.Int i) -> i | _ -> default
@@ -83,6 +87,9 @@ let event_of_json j =
           detail = str_member "x" j;
         }
 
+(* One read loop for both kinds: the header's key picks the line decoder,
+   events for "jord_trace" and fleet spans for "jord_fleet_trace" (the
+   file {!Ftrace.save} writes). *)
 let load ~path =
   match open_in path with
   | exception Sys_error msg -> Error msg
@@ -90,51 +97,52 @@ let load ~path =
       Fun.protect
         ~finally:(fun () -> close_in ic)
         (fun () ->
-          let parse_line n line =
-            match Json.of_string line with
-            | Error msg -> Error (Printf.sprintf "%s:%d: %s" path n msg)
-            | Ok j -> Ok j
+          let parse n line =
+            Result.map_error (Printf.sprintf "%s:%d: %s" path n) (Json.of_string line)
+          in
+          let rec body decode n acc =
+            match input_line ic with
+            | exception End_of_file -> Ok (List.rev acc)
+            | "" -> body decode (n + 1) acc
+            | line -> (
+                match
+                  Result.bind (parse n line) (fun j ->
+                      Result.map_error (Printf.sprintf "%s:%d: %s" path n) (decode j))
+                with
+                | Error _ as e -> e
+                | Ok x -> body decode (n + 1) (x :: acc))
           in
           match input_line ic with
           | exception End_of_file -> Error (path ^ ": empty trace file")
           | first -> (
-              match parse_line 1 first with
+              match parse 1 first with
               | Error _ as e -> e
-              | Ok header when Json.member "jord_trace" header = None ->
-                  Error (path ^ ": not a jord trace file (missing jord_trace header)")
-              | Ok header ->
-                  let rec go n acc =
-                    match input_line ic with
-                    | exception End_of_file -> Ok (List.rev acc)
-                    | "" -> go (n + 1) acc
-                    | line -> (
-                        match parse_line n line with
-                        | Error _ as e -> e
-                        | Ok j -> (
-                            match event_of_json j with
-                            | Error msg ->
-                                Error (Printf.sprintf "%s:%d: %s" path n msg)
-                            | Ok e -> go (n + 1) (e :: acc)))
-                  in
+              | Ok h when Json.member "jord_trace" h <> None ->
                   Result.map
                     (fun events ->
-                      {
-                        events;
-                        truncated =
-                          (match Json.member "truncated" header with
-                          | Some (Json.Bool b) -> b
-                          | _ -> false);
-                        total_emitted = int_member "total_emitted" header;
-                        capacity = int_member "capacity" header;
-                        meta = header;
-                      })
-                    (go 2 [])))
+                      Server
+                        {
+                          events;
+                          truncated = Json.member "truncated" h = Some (Json.Bool true);
+                          total_emitted = int_member "total_emitted" h;
+                          capacity = int_member "capacity" h;
+                          meta = h;
+                        })
+                    (body event_of_json 2 [])
+              | Ok h when Json.member "jord_fleet_trace" h <> None ->
+                  Result.map
+                    (fun spans -> Fleet { spans; offered_total = int_member "offered" h })
+                    (body Fspan.of_json 2 [])
+              | Ok _ ->
+                  Error
+                    (path
+                   ^ ": not a jord trace file (missing jord_trace or jord_fleet_trace \
+                      header)")))
 
-let orch_cores loaded =
-  match Json.member "orch_cores" loaded.meta with
+let orch_cores (l : server) =
+  match Json.member "orch_cores" l.meta with
   | Some (Json.List l) ->
       List.filter_map (function Json.Int i -> Some i | _ -> None) l
   | _ -> []
 
-let spans loaded =
-  Span.build ~truncated:loaded.truncated (fun f -> List.iter f loaded.events)
+let spans (l : server) = Span.build ~truncated:l.truncated (fun f -> List.iter f l.events)
