@@ -79,12 +79,14 @@ let active t =
   || t.jitter_us > 0.0 || t.slow > 0.0 || t.server_crash > 0.0
 
 let validate t =
+  (* Written so NaN fails every check: a non-finite rate or duration would
+     otherwise slip through and stall the run. *)
   let prob name v =
-    if v < 0.0 || v > 1.0 then Error (Printf.sprintf "%s must be in [0,1]" name)
-    else Ok ()
+    if v >= 0.0 && v <= 1.0 then Ok () else Error (Printf.sprintf "%s must be in [0,1]" name)
   in
   let nonneg name v =
-    if v < 0.0 then Error (Printf.sprintf "%s must be >= 0" name) else Ok ()
+    if v >= 0.0 && Float.is_finite v then Ok ()
+    else Error (Printf.sprintf "%s must be finite and >= 0" name)
   in
   let ( >>= ) r f = match r with Ok () -> f () | Error _ as e -> e in
   prob "crash" t.crash
@@ -109,7 +111,8 @@ let validate t =
   >>= fun () ->
   nonneg "server-down-us" t.server_down_us
   >>= fun () ->
-  if t.slow_factor < 1.0 then Error "slow-factor must be >= 1" else Ok ()
+  if t.slow_factor >= 1.0 && Float.is_finite t.slow_factor then Ok ()
+  else Error "slow-factor must be finite and >= 1"
 
 (* Spec grammar: a preset name, or "k=v,k=v,..." (optionally seeded from a
    preset, e.g. "ci-smoke,loss=0.5"). *)
@@ -166,7 +169,9 @@ let parse spec =
   | Ok plan -> ( match validate plan with Ok () -> Ok plan | Error m -> Error m)
 
 let to_string t =
+  let g = Jord_util.Render.shortest in
   Printf.sprintf
-    "seed=%d,crash=%g,restart-us=%g,stall=%g,stall-us=%g,loss=%g,dup=%g,jitter-us=%g,slow=%g,slow-factor=%g,server-crash=%g,server-down-us=%g,warm-loss=%g"
-    t.seed t.crash t.restart_us t.stall t.stall_us t.loss t.dup t.jitter_us t.slow
-    t.slow_factor t.server_crash t.server_down_us t.warm_loss
+    "seed=%d,crash=%s,restart-us=%s,stall=%s,stall-us=%s,loss=%s,dup=%s,jitter-us=%s,slow=%s,slow-factor=%s,server-crash=%s,server-down-us=%s,warm-loss=%s"
+    t.seed (g t.crash) (g t.restart_us) (g t.stall) (g t.stall_us) (g t.loss) (g t.dup)
+    (g t.jitter_us) (g t.slow) (g t.slow_factor) (g t.server_crash) (g t.server_down_us)
+    (g t.warm_loss)

@@ -30,19 +30,24 @@ let presets =
       { default with interval_us = 20.0; up_after = 1; down_after = 3; step = 8; boot_us = 100.0 } );
   ]
 
+(* Float checks are written so NaN fails them, and durations must be
+   finite: a NaN or infinite interval would stall the control loop. *)
 let validate t =
   if t.min_servers < 1 then Error "autoscale: min must be >= 1"
   else if t.max_servers < 0 then Error "autoscale: max must be >= 0"
   else if t.max_servers > 0 && t.max_servers < t.min_servers then
     Error "autoscale: max must be >= min"
-  else if t.interval_us <= 0.0 then Error "autoscale: interval-us must be > 0"
-  else if t.up_util <= 0.0 then Error "autoscale: up must be > 0"
-  else if t.down_util < 0.0 || t.down_util >= t.up_util then
+  else if not (t.interval_us > 0.0 && Float.is_finite t.interval_us) then
+    Error "autoscale: interval-us must be finite and > 0"
+  else if not (t.up_util > 0.0 && Float.is_finite t.up_util) then
+    Error "autoscale: up must be finite and > 0"
+  else if not (t.down_util >= 0.0 && t.down_util < t.up_util) then
     Error "autoscale: need 0 <= down < up"
   else if t.up_after < 1 || t.down_after < 1 then
     Error "autoscale: up-after/down-after must be >= 1"
   else if t.step < 1 then Error "autoscale: step must be >= 1"
-  else if t.boot_us <= 0.0 then Error "autoscale: boot-us must be > 0"
+  else if not (t.boot_us > 0.0 && Float.is_finite t.boot_us) then
+    Error "autoscale: boot-us must be finite and > 0"
   else Ok ()
 
 let parse spec_s =
@@ -94,10 +99,11 @@ let parse spec_s =
   | Ok t -> ( match validate t with Ok () -> Ok t | Error m -> Error m)
 
 let to_string t =
+  let g = Jord_util.Render.shortest in
   Printf.sprintf
-    "min=%d,max=%d,interval-us=%g,up=%g,down=%g,up-after=%d,down-after=%d,step=%d,boot-us=%g"
-    t.min_servers t.max_servers t.interval_us t.up_util t.down_util t.up_after
-    t.down_after t.step t.boot_us
+    "min=%d,max=%d,interval-us=%s,up=%s,down=%s,up-after=%d,down-after=%d,step=%d,boot-us=%s"
+    t.min_servers t.max_servers (g t.interval_us) (g t.up_util) (g t.down_util) t.up_after
+    t.down_after t.step (g t.boot_us)
 
 let describe t =
   Printf.sprintf

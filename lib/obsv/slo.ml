@@ -232,15 +232,16 @@ let load ~path =
 let parse_arg arg = if Sys.file_exists arg then load ~path:arg else parse arg
 
 let to_string o =
+  let g = Jord_util.Render.shortest in
   Printf.sprintf
-    "name=%s%s%s,p=%g,threshold_us=%g,window_us=%g,budget=%g,fast=%d,slow=%d,burn=%g"
+    "name=%s%s%s,p=%s,threshold_us=%s,window_us=%s,budget=%s,fast=%d,slow=%d,burn=%s"
     o.name
     (match o.fn with None -> "" | Some fn -> ",fn=" ^ fn)
     (match o.kind with Latency -> "" | Availability -> ",kind=availability")
-    o.percentile
-    (float_of_int o.threshold_ps /. 1e6)
-    (float_of_int o.window_ps /. 1e6)
-    o.budget o.fast_windows o.slow_windows o.burn_threshold
+    (g o.percentile)
+    (g (float_of_int o.threshold_ps /. 1e6))
+    (g (float_of_int o.window_ps /. 1e6))
+    (g o.budget) o.fast_windows o.slow_windows (g o.burn_threshold)
 
 let describe o =
   match o.kind with

@@ -2,6 +2,20 @@ let f1 v = Printf.sprintf "%.1f" v
 let f2 v = Printf.sprintf "%.2f" v
 let f3 v = Printf.sprintf "%.3f" v
 
+(* The fewest significant digits (at least %g's six) that read back as
+   exactly [v]; a positive exponent drops its '+' and leading zeros. *)
+let shortest v =
+  let rec go p =
+    let s = Printf.sprintf "%.*g" p v in
+    if p >= 17 || not (Float.is_finite v) || float_of_string s = v then s else go (p + 1)
+  in
+  let s = go 6 in
+  match String.index_opt s '+' with
+  | None -> s
+  | Some i ->
+      let exp = String.sub s (i + 1) (String.length s - i - 1) in
+      String.sub s 0 i ^ string_of_int (int_of_string exp)
+
 let pad s w = s ^ String.make (Int.max 0 (w - String.length s)) ' '
 
 let table ?title ~header ~rows () =

@@ -27,3 +27,10 @@ val f1 : float -> string
 val f2 : float -> string
 val f3 : float -> string
 (** Fixed-precision float formatting helpers (1/2/3 decimals). *)
+
+val shortest : float -> string
+(** The shortest decimal that [float_of_string] reads back as exactly the
+    same float. It equals [%g] wherever [%g] is exact (e.g. every value
+    below 1e6 with at most 6 significant digits), and writes positive
+    exponents without '+' or leading zeros ("1e6", "1.5e308"), so the text
+    also survives '+'-separated lists. Non-finite values print as [%g]. *)

@@ -38,23 +38,33 @@ let presets =
       } );
   ]
 
+(* Every check is written so NaN fails it, and every float must be finite:
+   a NaN or infinite rate, period or window would stall the generator. *)
 let validate t =
+  let finite = List.for_all Float.is_finite in
   if t.users < 1 then Error "traffic: users must be >= 1"
-  else if t.zipf_s < 0.0 then Error "traffic: zipf must be >= 0"
-  else if t.rate_mrps <= 0.0 then Error "traffic: rate must be > 0"
-  else if t.diurnal_amp < 0.0 || t.diurnal_amp >= 1.0 then
+  else if not (t.zipf_s >= 0.0 && finite [ t.zipf_s ]) then
+    Error "traffic: zipf must be finite and >= 0"
+  else if not (t.rate_mrps > 0.0 && finite [ t.rate_mrps ]) then
+    Error "traffic: rate must be finite and > 0"
+  else if not (t.diurnal_amp >= 0.0 && t.diurnal_amp < 1.0) then
     Error "traffic: amp must be in [0, 1)"
-  else if t.diurnal_period_us <= 0.0 then Error "traffic: period-us must be > 0"
+  else if not (t.diurnal_period_us > 0.0 && finite [ t.diurnal_period_us ]) then
+    Error "traffic: period-us must be finite and > 0"
   else if
-    List.exists
-      (fun f -> f.at_us < 0.0 || f.dur_us <= 0.0 || f.boost < 1.0)
-      t.flash
-  then Error "traffic: each flash needs at>=0, dur>0, boost>=1"
+    not
+      (List.for_all
+         (fun f ->
+           f.at_us >= 0.0 && f.dur_us > 0.0 && f.boost >= 1.0
+           && finite [ f.at_us; f.dur_us; f.boost ])
+         t.flash)
+  then Error "traffic: each flash needs finite at>=0, dur>0, boost>=1"
   else Ok ()
 
+let g = Jord_util.Render.shortest
+
 let flash_to_string fs =
-  String.concat "+"
-    (List.map (fun f -> Printf.sprintf "%g:%g:%g" f.at_us f.dur_us f.boost) fs)
+  String.concat "+" (List.map (fun f -> Printf.sprintf "%s:%s:%s" (g f.at_us) (g f.dur_us) (g f.boost)) fs)
 
 let flash_of_string s =
   let window w =
@@ -124,8 +134,8 @@ let parse spec =
 
 let to_string t =
   let base =
-    Printf.sprintf "users=%d,zipf=%g,rate=%g,amp=%g,period-us=%g" t.users t.zipf_s
-      t.rate_mrps t.diurnal_amp t.diurnal_period_us
+    Printf.sprintf "users=%d,zipf=%s,rate=%s,amp=%s,period-us=%s" t.users (g t.zipf_s)
+      (g t.rate_mrps) (g t.diurnal_amp) (g t.diurnal_period_us)
   in
   let flash = if t.flash = [] then "" else ",flash=" ^ flash_to_string t.flash in
   Printf.sprintf "%s%s,seed=%d" base flash t.seed

@@ -337,15 +337,16 @@ let test_plan_parse_server_keys () =
       Alcotest.(check bool) "error names the key" true
         (contains "server-down-us" e)
 
-(* Random valid plans off small decimal grids, so [to_string]'s %g prints
-   every field exactly and the round trip is equality, not approximation. *)
+(* Random valid plans over the whole float range of each field: the
+   canonical spelling prints the shortest decimal that reads back exactly,
+   so the round trip is equality, not approximation. *)
 let gen_plan =
   QCheck.Gen.(
-    let prob = map (fun k -> float_of_int k /. 1000.0) (int_bound 1000) in
-    let us = map (fun k -> float_of_int k /. 10.0) (int_bound 2000) in
+    let prob = float_bound_inclusive 1.0 in
+    let us = float_bound_inclusive 200.0 in
     map
       (fun ((seed, crash, restart_us, stall, stall_us),
-            (loss, dup, jitter_us, slow, factor_tenths),
+            (loss, dup, jitter_us, slow, factor),
             (server_crash, server_down_us, warm_loss)) ->
         {
           Plan.seed;
@@ -357,14 +358,14 @@ let gen_plan =
           dup;
           jitter_us;
           slow;
-          slow_factor = 1.0 +. (float_of_int factor_tenths /. 10.0);
+          slow_factor = 1.0 +. factor;
           server_crash;
           server_down_us;
           warm_loss;
         })
       (tup3
          (tup5 (int_bound 100000) prob us prob us)
-         (tup5 prob prob us prob (int_bound 90))
+         (tup5 prob prob us prob (float_bound_inclusive 9.0))
          (tup3 prob us prob)))
 
 let arb_plan = QCheck.make ~print:Plan.to_string gen_plan
@@ -374,6 +375,56 @@ let prop_plan_roundtrip =
     ~name:"plan to_string/parse round-trips every valid plan exactly"
     ~count:200 arb_plan
     (fun plan -> Plan.parse (Plan.to_string plan) = Ok plan)
+
+(* --- spec parser fuzzing, for every "preset,key=value,..." grammar --- *)
+
+(* Random specs stitched from a parser's own tokens (presets, "key="
+   prefixes), separators, edge numbers (non-finite, huge, just below 1,
+   and 1e6 where %g turns to exponents) and random runs over the spec
+   alphabet. *)
+let gen_spec tokens =
+  let open QCheck.Gen in
+  let alphabet = "abcdefghijklmnopqrstuvwxyz0123456789=,;:+._ -" in
+  let noise =
+    string_size ~gen:(map (String.get alphabet) (int_bound (String.length alphabet - 1)))
+      (int_range 0 8)
+  in
+  let numbers =
+    [ "nan"; "inf"; "-inf"; "1e308"; "1e999"; "-1e999"; "9e18"; "0.9999999"; "1000000";
+      "1e-7"; "0.5"; "99"; "-3"; "0"; "1" ]
+  in
+  let fragment = oneof [ noise; oneofl ([ ","; "="; "+"; ":" ] @ numbers @ tokens) ] in
+  map (String.concat "") (list_size (int_range 0 12) fragment)
+
+(* What every spec parser owes: no exception escapes, and each [Ok] value
+   has finite floats, passes its validator and reads back from its own
+   canonical spelling exactly. *)
+let prop_spec_fuzz ~name ~parse ~to_string ~validate ~floats tokens =
+  QCheck.Test.make ~name ~count:3000
+    (QCheck.make ~print:(Printf.sprintf "%S") (gen_spec tokens))
+    (fun spec ->
+      match parse spec with
+      | exception e -> QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e)
+      | Error _ -> true
+      | Ok v ->
+          if not (List.for_all Float.is_finite (floats v)) then
+            QCheck.Test.fail_reportf "non-finite value in %s" (to_string v)
+          else if validate v <> Ok () then
+            QCheck.Test.fail_reportf "%s fails its validator" (to_string v)
+          else if parse (to_string v) <> Ok v then
+            QCheck.Test.fail_reportf "%s does not parse back" (to_string v)
+          else true)
+
+let prop_plan_fuzz =
+  prop_spec_fuzz ~name:"plan parse: no exception escapes, Ok plans are finite and round-trip"
+    ~parse:Plan.parse ~to_string:Plan.to_string ~validate:Plan.validate
+    ~floats:(fun p ->
+      Plan.
+        [ p.crash; p.restart_us; p.stall; p.stall_us; p.loss; p.dup; p.jitter_us; p.slow;
+          p.slow_factor; p.server_crash; p.server_down_us; p.warm_loss ])
+    [ "none"; "ci-smoke"; "mild"; "harsh"; "seed="; "crash="; "restart-us="; "stall=";
+      "stall-us="; "loss="; "dup="; "jitter-us="; "slow="; "slow-factor="; "server-crash=";
+      "server-down-us="; "warm-loss=" ]
 
 let test_server_crash_cluster_conservation () =
   (* Whole-server crashes on top of the wire faults: every request still
@@ -521,6 +572,7 @@ let suite =
     Alcotest.test_case "server-crash plan keys parse" `Quick
       test_plan_parse_server_keys;
     QCheck_alcotest.to_alcotest prop_plan_roundtrip;
+    QCheck_alcotest.to_alcotest prop_plan_fuzz;
     Alcotest.test_case "server crashes conserve cluster-wide" `Quick
       test_server_crash_cluster_conservation;
     Alcotest.test_case "quarantine recovers via probe" `Quick

@@ -291,6 +291,24 @@ let test_fleet_gauges () =
        ~labels:[ ("server", "0") ]
     <> None)
 
+(* --- spec parser fuzzing --- *)
+
+let prop_autoscaler_fuzz =
+  Test_chaos.prop_spec_fuzz
+    ~name:"autoscaler parse: no exception escapes, Ok specs are finite and round-trip"
+    ~parse:Autoscaler.parse ~to_string:Autoscaler.to_string ~validate:Autoscaler.validate
+    ~floats:(fun s -> Autoscaler.[ s.interval_us; s.up_util; s.down_util; s.boot_us ])
+    [ "default"; "fast"; "min="; "max="; "interval-us="; "up="; "down="; "up-after=";
+      "down-after="; "step="; "boot-us=" ]
+
+let prop_lb_fuzz =
+  Test_chaos.prop_spec_fuzz ~name:"lb parse: no exception escapes, Ok policies round-trip"
+    ~parse:Lb.parse ~to_string:Lb.to_string
+    ~validate:(fun _ -> Ok ())
+    ~floats:(fun _ -> [])
+    [ "rr"; "lo"; "affinity"; "round-robin"; "round_robin"; "least-outstanding";
+      "least_outstanding"; "RR"; "Affinity" ]
+
 let suite =
   [
     Alcotest.test_case "lb: round robin" `Quick test_lb_round_robin;
@@ -298,6 +316,8 @@ let suite =
     Alcotest.test_case "lb: affinity warm routes and spill" `Quick test_lb_affinity;
     Alcotest.test_case "autoscaler: hysteresis" `Quick test_autoscaler_hysteresis;
     Alcotest.test_case "autoscaler: spec grammar" `Quick test_autoscaler_spec;
+    QCheck_alcotest.to_alcotest prop_autoscaler_fuzz;
+    QCheck_alcotest.to_alcotest prop_lb_fuzz;
     Alcotest.test_case "rollup: verdicts and burn" `Quick test_rollup_verdicts;
     Alcotest.test_case "fleet: conservation + autoscale" `Quick test_fleet_conservation;
     Alcotest.test_case "fleet: byte-identical at shards 2/4/8" `Quick

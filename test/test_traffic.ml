@@ -77,6 +77,17 @@ let prop_roundtrip =
   QCheck.Test.make ~name:"parse (to_string s) = Ok s" ~count:100 arb_shape
     (fun shape -> Traffic.parse (Traffic.to_string shape) = Ok shape)
 
+let prop_fuzz =
+  Test_chaos.prop_spec_fuzz
+    ~name:"parse: no exception escapes, Ok shapes are finite and round-trip"
+    ~parse:Traffic.parse ~to_string:Traffic.to_string ~validate:Traffic.validate
+    ~floats:(fun t ->
+      Traffic.(
+        [ t.zipf_s; t.rate_mrps; t.diurnal_amp; t.diurnal_period_us ]
+        @ List.concat_map (fun f -> [ f.at_us; f.dur_us; f.boost ]) t.flash))
+    [ "steady"; "diurnal"; "flash"; "ci"; "users="; "seed="; "zipf="; "rate="; "amp=";
+      "period-us="; "flash="; "1000000:300:3"; "600:200:3+"; "0:1:1" ]
+
 (* --- deterministic unit checks --- *)
 
 let test_presets_valid () =
@@ -180,6 +191,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_seed_sensitive;
     QCheck_alcotest.to_alcotest prop_live_equals_pregen;
     QCheck_alcotest.to_alcotest prop_roundtrip;
+    QCheck_alcotest.to_alcotest prop_fuzz;
     Alcotest.test_case "presets validate and roundtrip" `Quick test_presets_valid;
     Alcotest.test_case "parse rejects bad specs" `Quick test_parse_errors;
     Alcotest.test_case "preset with overrides" `Quick test_parse_preset_override;
