@@ -155,35 +155,35 @@ let bench_reused total =
   Engine.run e;
   !fired
 
-(* --- Fleet leg: the conservative parallel core on the same event shape.
+(* --- Epoch leg: the conservative parallel core on the same event shape.
 
-   [fleet_shards] shards each run [lanes / fleet_shards] self-rescheduling
+   [epoch_shards] shards each run [lanes / epoch_shards] self-rescheduling
    lanes, and one courier closure hops shard to shard through the mailbox
-   every epoch, so the barrier path is always exercised. The same fleet
+   every epoch, so the barrier path is always exercised. The same loop
    runs once with the sequential runner and once on a domain pool; both
    must execute the identical schedule — equal event counts and equal
    per-shard fire-time checksums — which is the determinism gate. The
    events/sec ratio is printed, and only enforced (> 1x) when the host
    actually has a core per shard. *)
 
-module Fleet = Jord_sim.Fleet
+module Epoch = Jord_sim.Epoch
 module Shard = Jord_sim.Shard
 
-let fleet_shards = 4
-let fleet_lookahead = 4096
+let epoch_shards = 4
+let epoch_lookahead = 4096
 let courier_hops = 2_000
 
 (* Per-shard state, touched only by the shard's own domain during an epoch
    (the barrier's fork/join orders the courier's cross-shard handoff). *)
-type fleet_cell = { mutable fired : int; mutable checksum : int }
+type epoch_cell = { mutable fired : int; mutable checksum : int }
 
-let bench_fleet ~use_pool total =
-  let fleet = Fleet.create ~shards:fleet_shards ~lookahead:fleet_lookahead in
-  let cells = Array.init fleet_shards (fun _ -> { fired = 0; checksum = 0 }) in
-  let per_shard = total / fleet_shards in
-  let lanes_per_shard = lanes / fleet_shards in
-  for s = 0 to fleet_shards - 1 do
-    let eng = Fleet.engine fleet s in
+let bench_epoch ~use_pool total =
+  let epochs = Epoch.create ~shards:epoch_shards ~lookahead:epoch_lookahead in
+  let cells = Array.init epoch_shards (fun _ -> { fired = 0; checksum = 0 }) in
+  let per_shard = total / epoch_shards in
+  let lanes_per_shard = lanes / epoch_shards in
+  for s = 0 to epoch_shards - 1 do
+    let eng = Epoch.engine epochs s in
     let cell = cells.(s) in
     let fns = Array.make lanes_per_shard (fun (_ : Engine.t) -> ()) in
     Array.iteri
@@ -206,53 +206,53 @@ let bench_fleet ~use_pool total =
     cell.checksum <- cell.checksum + (Engine.now eng * 7);
     decr hops;
     if !hops > 0 then begin
-      let dst = (at_shard + 1) mod fleet_shards in
-      let src = Fleet.shard fleet at_shard in
+      let dst = (at_shard + 1) mod epoch_shards in
+      let src = Epoch.shard epochs at_shard in
       Shard.post src ~dst
-        ~at:(Engine.now eng + fleet_lookahead)
+        ~at:(Engine.now eng + epoch_lookahead)
         ~sid:at_shard (courier dst)
     end
   in
-  Engine.schedule (Fleet.engine fleet 0) ~after:1 (courier 0);
+  Engine.schedule (Epoch.engine epochs 0) ~after:1 (courier 0);
   let t0 = Unix.gettimeofday () in
   if use_pool then
-    Jord_par.Pool.with_pool ~jobs:fleet_shards (fun pool ->
+    Jord_par.Pool.with_pool ~jobs:epoch_shards (fun pool ->
         let runner f n =
           ignore (Jord_par.Pool.parmap pool f (List.init n Fun.id) : unit list)
         in
-        Fleet.run ~runner fleet)
-  else Fleet.run fleet;
+        Epoch.run ~runner epochs)
+  else Epoch.run epochs;
   let dt = Unix.gettimeofday () -. t0 in
-  let processed = Fleet.processed fleet in
+  let processed = Epoch.processed epochs in
   let checksum =
     Array.fold_left (fun acc c -> acc lxor c.checksum) 0 cells
   in
   (processed, checksum, dt)
 
-let fleet_leg total =
-  ignore (bench_fleet ~use_pool:false (total / 10));
-  let p_seq, c_seq, dt_seq = bench_fleet ~use_pool:false total in
-  let p_par, c_par, dt_par = bench_fleet ~use_pool:true total in
+let epoch_leg total =
+  ignore (bench_epoch ~use_pool:false (total / 10));
+  let p_seq, c_seq, dt_seq = bench_epoch ~use_pool:false total in
+  let p_par, c_par, dt_par = bench_epoch ~use_pool:true total in
   let rate dt n = float_of_int n /. dt /. 1e6 in
-  Printf.printf "fleet/seq  %9d events  %7.2f Mevents/s (shards=%d, one domain)\n%!"
-    p_seq (rate dt_seq p_seq) fleet_shards;
-  Printf.printf "fleet/par  %9d events  %7.2f Mevents/s (shards=%d, pooled domains)\n%!"
-    p_par (rate dt_par p_par) fleet_shards;
+  Printf.printf "epoch/seq  %9d events  %7.2f Mevents/s (shards=%d, one domain)\n%!"
+    p_seq (rate dt_seq p_seq) epoch_shards;
+  Printf.printf "epoch/par  %9d events  %7.2f Mevents/s (shards=%d, pooled domains)\n%!"
+    p_par (rate dt_par p_par) epoch_shards;
   if p_seq <> p_par || c_seq <> c_par then begin
     Printf.eprintf
-      "FAIL: pooled fleet diverged from sequential schedule \
+      "FAIL: pooled epoch loop diverged from sequential schedule \
        (events %d vs %d, checksum %d vs %d)\n"
       p_seq p_par c_seq c_par;
     exit 1
   end;
   let speedup = dt_seq /. Float.max dt_par 1e-9 in
   let cores = Domain.recommended_domain_count () in
-  Printf.printf "fleet speedup: %.2fx on %d cores\n%!" speedup cores;
-  Printf.printf "OK: pooled fleet executes the identical schedule (checksum %d)\n%!"
+  Printf.printf "epoch speedup: %.2fx on %d cores\n%!" speedup cores;
+  Printf.printf "OK: pooled epoch loop executes the identical schedule (checksum %d)\n%!"
     c_seq;
-  if cores >= fleet_shards && speedup <= 1.0 then begin
+  if cores >= epoch_shards && speedup <= 1.0 then begin
     Printf.eprintf
-      "FAIL: fleet must beat one domain when a core per shard is available \
+      "FAIL: the epoch loop must beat one domain when a core per shard is available \
        (got %.2fx on %d cores)\n"
       speedup cores;
     exit 1
@@ -296,5 +296,5 @@ let () =
     exit 1
   end;
   print_string "OK: >= 2x fewer allocations per event on the dispatch path\n";
-  Printf.printf "-- fleet (conservative parallel, %d shards) --\n%!" fleet_shards;
-  fleet_leg total
+  Printf.printf "-- epoch loop (conservative parallel, %d shards) --\n%!" epoch_shards;
+  epoch_leg total

@@ -89,7 +89,7 @@ type chaos = {
 }
 
 (* Sharded (conservative parallel) mode: servers are partitioned over
-   [Jord_sim.Fleet] shards, each with a private engine; cross-shard
+   [Jord_sim.Epoch] shards, each with a private engine; cross-shard
    forwards and responses travel through the shard mailboxes. Observables
    that the sequential cluster produced in one global event order —
    completion callbacks and trace events — are buffered per server and
@@ -97,7 +97,7 @@ type chaos = {
    the sequential order whenever no two servers act at the same picosecond
    (the golden suite pins this byte-for-byte). *)
 type sharded = {
-  fleet : Jord_sim.Fleet.t;
+  epochs : Jord_sim.Epoch.t;
   shard_of : int array;  (** server index -> shard index. *)
   done_bufs : Request.root list ref array;  (** per-server completions. *)
   mutable member_traces : Trace.t array;  (** per-server rings when tracing. *)
@@ -142,7 +142,7 @@ let post t ~src ~dst ~at fn =
   match t.sharded with
   | Some s when s.shard_of.(src) <> s.shard_of.(dst) ->
       Jord_sim.Shard.post
-        (Jord_sim.Fleet.shard s.fleet s.shard_of.(src))
+        (Jord_sim.Epoch.shard s.epochs s.shard_of.(src))
         ~dst:s.shard_of.(dst) ~at ~sid:src fn
   | Some _ | None ->
       Engine.schedule_at (Server.engine t.servers.(src)) ~time:at fn
@@ -304,10 +304,10 @@ let create ?(forward_after = 3) ?(shards = 1) ~servers:n ~config app =
       let lookahead = Netmodel.lookahead config.Server.net in
       if lookahead <= 0 then
         invalid_arg "Cluster.create: sharding requires a positive one_way_ns";
-      let fleet = Jord_sim.Fleet.create ~shards:eff_shards ~lookahead in
+      let epochs = Jord_sim.Epoch.create ~shards:eff_shards ~lookahead in
       Some
         {
-          fleet;
+          epochs;
           (* Contiguous block partition: server i on shard i*S/n, so ring
              neighbours mostly share a shard and the id -> shard map is
              stable under any server count. *)
@@ -322,13 +322,13 @@ let create ?(forward_after = 3) ?(shards = 1) ~servers:n ~config app =
   let engine =
     match sharded with
     | None -> Jord_sim.Engine.create ()
-    | Some s -> Jord_sim.Fleet.engine s.fleet 0
+    | Some s -> Jord_sim.Epoch.engine s.epochs 0
   in
   let servers = Array.init n (fun i ->
       let engine =
         match sharded with
         | None -> engine
-        | Some s -> Jord_sim.Fleet.engine s.fleet s.shard_of.(i)
+        | Some s -> Jord_sim.Epoch.engine s.epochs s.shard_of.(i)
       in
       Server.create ~engine { config with Server.seed = config.Server.seed + i } app)
   in
@@ -373,7 +373,7 @@ let create ?(forward_after = 3) ?(shards = 1) ~servers:n ~config app =
          to the historical (golden) behaviour. A cross-shard hop is the
          same wire, but the delivery event travels through the shard
          mailbox instead of being scheduled directly: the wire latency is
-         exactly the fleet's lookahead, so the timestamp always satisfies
+         exactly the epoch loop's lookahead, so the timestamp always satisfies
          the conservative contract. *)
       Array.iteri
         (fun i server ->
@@ -385,7 +385,7 @@ let create ?(forward_after = 3) ?(shards = 1) ~servers:n ~config app =
                    let target = servers.(j) in
                    match sharded with
                    | Some s when s.shard_of.(i) <> s.shard_of.(j) ->
-                       let src = Jord_sim.Fleet.shard s.fleet s.shard_of.(i) in
+                       let src = Jord_sim.Epoch.shard s.epochs s.shard_of.(i) in
                        let at =
                          Time.(Engine.now (Server.engine server) + net_one_way)
                        in
@@ -421,7 +421,7 @@ let create ?(forward_after = 3) ?(shards = 1) ~servers:n ~config app =
                    Jord_sim.Engine.schedule_at (Server.engine server) ~time:at fn
                  else
                    Jord_sim.Shard.post
-                     (Jord_sim.Fleet.shard s.fleet s.shard_of.(i))
+                     (Jord_sim.Epoch.shard s.epochs s.shard_of.(i))
                      ~dst ~at ~sid:i fn));
           (* Completions are buffered per server and replayed in canonical
              (completed_at, sid) order after the run (see [run]). *)
@@ -530,13 +530,13 @@ let run ?until t =
   match t.sharded with
   | None -> Jord_sim.Engine.run ?until t.engine
   | Some s ->
-      let jobs = Jord_sim.Fleet.shards s.fleet in
+      let jobs = Jord_sim.Epoch.shards s.epochs in
       Jord_par.Pool.with_pool ~jobs (fun pool ->
           let runner f n =
             ignore
               (Jord_par.Pool.parmap pool f (List.init n Fun.id) : unit list)
           in
-          Jord_sim.Fleet.run ?until ~runner s.fleet);
+          Jord_sim.Epoch.run ?until ~runner s.epochs);
       finalize_sharded s;
       (* Replay the buffered backoff observations into the histogram hook
          in canonical (time, src) order — the same merge rule as traces and
@@ -557,12 +557,12 @@ let run ?until t =
           |> List.iter (fun (_, _, ns) -> ch.on_retry_backoff ns))
 
 let shards t =
-  match t.sharded with None -> 1 | Some s -> Jord_sim.Fleet.shards s.fleet
+  match t.sharded with None -> 1 | Some s -> Jord_sim.Epoch.shards s.epochs
 
 let events_processed t =
   match t.sharded with
   | None -> Jord_sim.Engine.processed t.engine
-  | Some s -> Jord_sim.Fleet.processed s.fleet
+  | Some s -> Jord_sim.Epoch.processed s.epochs
 
 let forwarded t =
   Array.fold_left (fun acc s -> acc + Server.forwarded_out s) 0 t.servers

@@ -25,7 +25,7 @@
     {2 Sharded (conservative parallel) mode}
 
     With [~shards > 1] the servers are block-partitioned over a
-    {!Jord_sim.Fleet} of engine shards that advance in lock-step epochs
+    {!Jord_sim.Epoch} loop of engine shards that advance in lock-step epochs
     bounded by the network model's {!Netmodel.lookahead} (the one-way wire
     latency): no cross-server interaction is faster than one wire hop, so
     within a lookahead window every shard is independent. Cross-shard

@@ -49,7 +49,7 @@ type ctx = {
   mutable route_return : (Request.t -> at:Time.t -> (Engine.t -> unit) -> unit) option;
       (** Delivery of a forwarded request's response event to its home
           server at absolute time [at]. [None] (the sequential cluster):
-          schedule on the shared engine. Under [Jord_sim.Fleet] the cluster
+          schedule on the shared engine. Under [Jord_sim.Epoch] the cluster
           installs a router that posts cross-shard responses through the
           shard mailbox. *)
   mutable forwarded_out : int;

@@ -31,7 +31,7 @@ val response_bytes : t -> int
 
 val lookahead : t -> Jord_sim.Time.t
 (** The conservative-synchronization window for a sharded run
-    ({!Jord_sim.Fleet}), equal to {!one_way}: wire latency lower-bounds
+    ({!Jord_sim.Epoch}), equal to {!one_way}: wire latency lower-bounds
     every cross-server interaction — a forward costs {!send_ns} [>=]
     [one_way] and a response {!response_ns} [>=] [one_way] — so two shards
     can safely run [one_way] apart without reordering anything. Zero when

@@ -89,7 +89,7 @@ let make_child ~id ~parent ~fn_name ~arg_bytes =
 
 (* Cross-server accounting: when a request is forwarded, its cost
    accumulators must not be mutated from the remote server — under the
-   sharded engine ([Jord_sim.Fleet]) the home and remote servers may run on
+   sharded engine ([Jord_sim.Epoch]) the home and remote servers may run on
    different domains, and even sequentially the fold order of float adds
    must not depend on engine interleaving. [detach_acct] (called at the
    first forward hop) swaps in a private zeroed ledger that travels with

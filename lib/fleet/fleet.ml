@@ -31,7 +31,7 @@ let default_config =
 
 type lifecycle = Down | Booting | Up | Draining
 
-type sharded = { sfleet : Jord_sim.Fleet.t; shard_of : int array }
+type sharded = { epochs : Jord_sim.Epoch.t; shard_of : int array }
 
 type scale_event = {
   ev_at : Time.t;
@@ -90,10 +90,10 @@ let to_server t ~server ~at fn =
   match t.sharded with
   | Some s when s.shard_of.(server) <> 0 ->
       Jord_sim.Shard.post
-        (Jord_sim.Fleet.shard s.sfleet 0)
+        (Jord_sim.Epoch.shard s.epochs 0)
         ~dst:s.shard_of.(server) ~at ~sid:t.cfg.servers fn
   | Some s ->
-      Engine.schedule_at (Jord_sim.Fleet.engine s.sfleet s.shard_of.(server)) ~time:at fn
+      Engine.schedule_at (Jord_sim.Epoch.engine s.epochs s.shard_of.(server)) ~time:at fn
   | None -> Engine.schedule_at t.engine ~time:at fn
 
 (* Member -> balancer: sid is the member's id, as in Cluster. *)
@@ -101,7 +101,7 @@ let to_lb t ~server ~at fn =
   match t.sharded with
   | Some s when s.shard_of.(server) <> 0 ->
       Jord_sim.Shard.post
-        (Jord_sim.Fleet.shard s.sfleet s.shard_of.(server))
+        (Jord_sim.Epoch.shard s.epochs s.shard_of.(server))
         ~dst:0 ~at ~sid:server fn
   | Some _ | None -> Engine.schedule_at t.engine ~time:at fn
 
@@ -397,24 +397,24 @@ let create cfg ~app =
   let sharded =
     if eff_shards <= 1 then None
     else begin
-      let sfleet =
-        Jord_sim.Fleet.create ~shards:eff_shards ~lookahead:(Netmodel.lookahead cfg.net)
+      let epochs =
+        Jord_sim.Epoch.create ~shards:eff_shards ~lookahead:(Netmodel.lookahead cfg.net)
       in
       (* Shard 0 belongs to the balancer alone (it sees every request
          twice); members spread in blocks over shards 1..S-1. *)
       let shard_of = Array.init n (fun i -> 1 + (i * (eff_shards - 1) / n)) in
-      Some { sfleet; shard_of }
+      Some { epochs; shard_of }
     end
   in
   let engine =
     match sharded with
     | None -> Engine.create ()
-    | Some s -> Jord_sim.Fleet.engine s.sfleet 0
+    | Some s -> Jord_sim.Epoch.engine s.epochs 0
   in
   let member_engine i =
     match sharded with
     | None -> engine
-    | Some s -> Jord_sim.Fleet.engine s.sfleet s.shard_of.(i)
+    | Some s -> Jord_sim.Epoch.engine s.epochs s.shard_of.(i)
   in
   let members =
     Array.init n (fun i ->
@@ -514,12 +514,12 @@ let run ?(slo = []) ?tracer t ~shape ~duration_us =
   (match t.sharded with
   | None -> Engine.run ~until t.engine
   | Some s ->
-      let jobs = Jord_sim.Fleet.shards s.sfleet in
+      let jobs = Jord_sim.Epoch.shards s.epochs in
       Jord_par.Pool.with_pool ~jobs (fun pool ->
           let runner f n =
             ignore (Jord_par.Pool.parmap pool f (List.init n Fun.id) : unit list)
           in
-          Jord_sim.Fleet.run ~until ~runner s.sfleet));
+          Jord_sim.Epoch.run ~until ~runner s.epochs));
   match t.rollup with
   | Some r -> Jord_obsv.Rollup.finish r ~now_ps:until
   | None -> ()
@@ -547,7 +547,7 @@ let outstanding_now t = t.outstanding_total
 let events_processed t =
   match t.sharded with
   | None -> Engine.processed t.engine
-  | Some s -> Jord_sim.Fleet.processed s.sfleet
+  | Some s -> Jord_sim.Epoch.processed s.epochs
 
 let scale_events t = List.rev t.events
 let latency t = t.latency

@@ -5,7 +5,7 @@
     balancer owns engine shard 0 and every member server lives on one of
     the remaining shards; requests travel as timestamped messages delayed
     by the {!Jord_faas.Netmodel} one-way wire latency, which is exactly
-    the conservative lookahead of {!Jord_sim.Fleet} — so a sharded run is
+    the conservative lookahead of {!Jord_sim.Epoch} — so a sharded run is
     byte-identical to the sequential one. All routing state (outstanding
     counts, warm routes, lifecycle) is balancer-local and updated only by
     balancer-shard events; all member state is updated only by delivered

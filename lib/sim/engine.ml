@@ -58,11 +58,11 @@ let run ?until t =
          must see the horizon they asked for, not the last event's stamp. *)
       if t.now < limit then t.now <- limit
 
-(* Epoch body for the conservative parallel core (see [Fleet]): identical
+(* Epoch body for the conservative parallel core (see [Epoch]): identical
    to [run ~until] except [now] is left at the last processed event. A
    shard that goes idle mid-epoch must NOT fast-forward to the epoch edge —
    a barrier-drained message may still land inside this window, and
-   [schedule_at] would reject it as "time in the past". The fleet forces
+   [schedule_at] would reject it as "time in the past". The epoch loop forces
    the caller's horizon exactly once, after the final barrier. *)
 let run_window t ~until =
   let continue = ref true in

@@ -59,7 +59,7 @@ val run : ?until:Time.t -> t -> unit
 val run_window : t -> until:Time.t -> unit
 (** Process events with timestamps [<= until], leaving [now] at the last
     processed event rather than forcing it to the window edge. This is the
-    epoch body of the conservative parallel core ({!Fleet}): a shard idle
+    epoch body of the conservative parallel core ({!Epoch}): a shard idle
     mid-epoch must keep [now] where it is so messages drained at the next
     barrier — which may land anywhere inside the just-run window plus the
     lookahead — are still schedulable. Use {!run} when the window edge is a
@@ -67,7 +67,7 @@ val run_window : t -> until:Time.t -> unit
 
 val next_time : t -> Time.t option
 (** Timestamp of the earliest pending event, without processing it. The
-    fleet uses the minimum across shards to place the next epoch. *)
+    epoch loop uses the minimum across shards to place the next epoch. *)
 
 val step : t -> bool
 (** Process a single event; [false] if the queue was empty. *)

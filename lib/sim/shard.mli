@@ -3,19 +3,19 @@
     A shard wraps a private {!Engine.t} plus per-destination outboxes for
     timestamped cross-shard messages. During an epoch the shard's domain is
     the only writer of its engine and its outboxes; at the epoch barrier the
-    fleet (single-threaded) drains every outbox into the destination
+    epoch loop ({!Epoch}, single-threaded) drains every outbox into the destination
     engines in deterministic [(timestamp, sid, posting order)] order.
 
     The conservative contract: a message posted while the shard executes
     the epoch [\[T, T+W-1\]] must carry a timestamp [>= now + W] where [W]
-    is the fleet's lookahead — so it always lands at or after the next
+    is the loop's lookahead — so it always lands at or after the next
     epoch's start and no shard ever receives an event in its past. {!post}
     enforces this. *)
 
 type t
 
 val create : id:int -> shards:int -> lookahead:Time.t -> t
-(** [create ~id ~shards ~lookahead] makes shard [id] of a fleet of
+(** [create ~id ~shards ~lookahead] makes shard [id] of a set of
     [shards], with outboxes for every destination. [lookahead] must be
     positive. *)
 
@@ -27,7 +27,7 @@ val post : t -> dst:int -> at:Time.t -> sid:int -> (Engine.t -> unit) -> unit
 (** Queue [fn] for delivery into shard [dst]'s engine at absolute time
     [at]. [sid] is the deterministic tiebreaker among same-timestamp
     messages (callers use the source server id, which is unique
-    fleet-wide). Raises [Invalid_argument] if [at - now < lookahead] (a
+    across shards). Raises [Invalid_argument] if [at - now < lookahead] (a
     conservative-synchronization violation) or if [dst] is this shard
     (local work should be scheduled directly — it needs no barrier).
 
@@ -39,7 +39,7 @@ val pending_messages : t -> int
 
 (**/**)
 
-(* Barrier-side interface, used by {!Fleet} and by tests. *)
+(* Barrier-side interface, used by {!Epoch} and by tests. *)
 
 type msg = {
   mutable at : Time.t;
