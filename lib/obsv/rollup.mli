@@ -121,7 +121,7 @@ val report_text : t -> string
 val report_json : t -> string
 
 val report_csv : t -> string
-(** Flat CSV in the {!Export.blame_csv} convention: a header line, then one
+(** Flat CSV in the {!Report.blame_csv} convention: a header line, then one
     row per (objective, closed window) with the objective-level columns
     repeated; an objective with no closed windows emits a single row with
     [window = -1]. *)
