@@ -11,79 +11,27 @@
      bench/main.exe micro           only the Bechamel microbenchmarks
      bench/main.exe --jobs=N        run sweep points on an N-domain pool
                                     (reports stay byte-identical to -j 1)
-     bench/main.exe --json-out=D    run the structured suite (engine, vm,
-                                    server, cluster) and write
+     bench/main.exe --json-out=D    run the structured suite (every
+                                    Benchmarks experiment) and write
                                     D/BENCH_<experiment>.json
      bench/main.exe --selftest-par  assert the pool is deterministic and
                                     measurably faster (CI bench smoke)
      bench/main.exe --metrics-dir=D dump each figure point's machine
                                     counters as D/<point>.prom
 
-   Unknown experiment names list the valid ones and exit 2. Timing chatter
-   goes to stderr so stdout is diffable across --jobs values. *)
+   Flags take their value as --flag V or --flag=V. Unknown experiment names
+   list the valid ones and exit 2. Timing chatter goes to stderr so stdout
+   is diffable across --jobs values. *)
 
-let quick = ref false
-let seeds = ref 1
-let metrics_dir = ref None
-let json_out = ref None
-let jobs = ref 1
-let selftest_par = ref false
+open Cmdliner
 
 let section title =
   let bar = String.make 74 '=' in
   Printf.printf "\n%s\n== %s\n%s\n%!" bar title bar
 
-let experiments : (string * (unit -> unit)) list =
-  [
-    ( "table4",
-      fun () ->
-        section "Table 4: VMA and PD operation latencies";
-        print_string (Jord_exp.Table4.report ~iters:(if !quick then 1500 else 4000) ()) );
-    ( "fig9",
-      fun () ->
-        section "Figure 9: p99 latency vs load (NightCore / Jord / Jord_NI)";
-        print_string (Jord_exp.Fig9.report ~quick:!quick ~seeds:!seeds ()) );
-    ( "fig10",
-      fun () ->
-        section "Figure 10: CDF of function service time in Jord";
-        print_string (Jord_exp.Fig10.report ~quick:!quick ()) );
-    ( "fig11",
-      fun () ->
-        section "Figure 11: service-time breakdown of the selected functions";
-        print_string (Jord_exp.Fig11.report ~quick:!quick ()) );
-    ( "fig12",
-      fun () ->
-        section "Figure 12: sensitivity to I-VLB / D-VLB entries";
-        print_string (Jord_exp.Fig12.report ~quick:!quick ()) );
-    ( "fig13",
-      fun () ->
-        section "Figure 13: Jord vs Jord_BT (B-tree VMA table)";
-        print_string (Jord_exp.Fig13.report ~quick:!quick ()) );
-    ( "fig14",
-      fun () ->
-        section "Figure 14: scalability with system size";
-        print_string (Jord_exp.Fig14.report ~quick:!quick ()) );
-    ( "background",
-      fun () ->
-        section "Background (paper 2.1): the FaaS overhead ladder";
-        print_string (Jord_exp.Background.report ()) );
-    ( "motivation",
-      fun () ->
-        section "Motivation (paper 2.2): page-based VM vs Jord's PrivLib";
-        print_string (Jord_exp.Motivation.report ~iters:(if !quick then 100 else 300) ()) );
-    ( "claims",
-      fun () ->
-        section "Paper-claim checklist (programmatic verification)";
-        print_string (Jord_exp.Claims.report ~quick:!quick ()) );
-    ( "ablation",
-      fun () ->
-        section "Ablations (beyond the paper): dispatch policy, grouping, queues";
-        print_string (Jord_exp.Ablations.report ~quick:!quick ()) );
-  ]
-
 (* --- Bechamel microbenchmarks: host-side cost of the core structures --- *)
 
-let micro () =
+let micro ~quick =
   section "Bechamel microbenchmarks (host wall-clock of the implementation)";
   let open Bechamel in
   let open Toolkit in
@@ -163,7 +111,7 @@ let micro () =
     ]
   in
   let benchmark test =
-    let quota = Time.second (if !quick then 0.2 else 0.5) in
+    let quota = Time.second (if quick then 0.2 else 0.5) in
     Benchmark.all
       (Benchmark.cfg ~limit:2000 ~quota ~kde:(Some 1000) ())
       Instance.[ monotonic_clock ]
@@ -187,82 +135,24 @@ let micro () =
 
 (* Run one structured-suite experiment: print its table and, when
    --json-out is set, write its BENCH_<name>.json. *)
-let run_suite name =
+let run_suite ~quick ~json_out name =
   section (Printf.sprintf "bench suite: %s" name);
-  match Jord_exp.Benchmarks.run_one ~quick:!quick name with
-  | Error msg ->
-      prerr_endline msg;
-      exit 2
+  match Jord_exp.Benchmarks.run_one ~quick name with
+  | Error msg -> invalid_arg msg
   | Ok doc ->
       print_string (Jord_exp.Benchmarks.render doc);
-      (match !json_out with
-      | None -> ()
-      | Some dir ->
+      Option.iter
+        (fun dir ->
           let path = Jord_util.Bench_json.write_dir ~dir doc in
           Printf.eprintf "wrote %s\n%!" path)
+        json_out
 
-let prefixed_arg ~prefix a =
-  let n = String.length prefix in
-  if String.length a > n && String.sub a 0 n = prefix then
-    Some (String.sub a n (String.length a - n))
-  else None
+let known = Jord_exp.Experiments.names @ [ "micro" ] @ Jord_exp.Benchmarks.names
 
-let set_jobs_arg v =
-  match int_of_string_opt v with
-  | Some n when n >= 1 -> jobs := n
-  | Some _ | None ->
-      prerr_endline "bench: --jobs must be an integer >= 1";
-      exit 2
-
-let () =
-  (* Flags accept both --flag=V and --flag V; everything else is an
-     experiment name. *)
-  let rec parse acc = function
-    | [] -> List.rev acc
-    | ("--quick" | "-q") :: rest ->
-        quick := true;
-        parse acc rest
-    | "--selftest-par" :: rest ->
-        selftest_par := true;
-        parse acc rest
-    | "--seeds" :: v :: rest ->
-        seeds := int_of_string v;
-        parse acc rest
-    | "--metrics-dir" :: v :: rest ->
-        metrics_dir := Some v;
-        parse acc rest
-    | "--json-out" :: v :: rest ->
-        json_out := Some v;
-        parse acc rest
-    | ("--jobs" | "-j") :: v :: rest ->
-        set_jobs_arg v;
-        parse acc rest
-    | a :: rest -> (
-        match prefixed_arg ~prefix:"--seeds=" a with
-        | Some v ->
-            seeds := int_of_string v;
-            parse acc rest
-        | None -> (
-            match prefixed_arg ~prefix:"--metrics-dir=" a with
-            | Some v ->
-                metrics_dir := Some v;
-                parse acc rest
-            | None -> (
-                match prefixed_arg ~prefix:"--json-out=" a with
-                | Some v ->
-                    json_out := Some v;
-                    parse acc rest
-                | None -> (
-                    match prefixed_arg ~prefix:"--jobs=" a with
-                    | Some v ->
-                        set_jobs_arg v;
-                        parse acc rest
-                    | None -> parse (a :: acc) rest))))
-  in
-  let args = parse [] (List.tl (Array.to_list Sys.argv)) in
-  Jord_exp.Exp_common.set_jobs !jobs;
-  if !selftest_par then begin
-    match Jord_exp.Benchmarks.par_selftest ~quick:!quick () with
+let main quick seeds metrics_dir json_out jobs selftest_par names =
+  Jord_exp.Exp_common.set_jobs jobs;
+  if selftest_par then begin
+    match Jord_exp.Benchmarks.par_selftest ~quick () with
     | Ok summary ->
         print_endline summary;
         exit 0
@@ -270,39 +160,77 @@ let () =
         prerr_endline msg;
         exit 1
   end;
-  (match !metrics_dir with
-  | None -> ()
-  | Some dir ->
+  Option.iter
+    (fun dir ->
       if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
       Jord_exp.Exp_common.metrics_sink :=
         Some
           (fun ~name reg ->
             Jord_telemetry.Export.write_file
               ~path:(Filename.concat dir (name ^ ".prom"))
-              (Jord_telemetry.Export.to_prometheus reg)));
-  let suite = Jord_exp.Benchmarks.names in
-  let known = List.map fst experiments @ [ "micro" ] @ suite in
-  List.iter
-    (fun a ->
-      if not (List.mem a known) then begin
-        Printf.eprintf "unknown experiment %S; valid experiments: %s\n" a
-          (String.concat ", " known);
-        exit 2
-      end)
-    args;
+              (Jord_telemetry.Export.to_prometheus reg)))
+    metrics_dir;
   let selected =
-    if args <> [] then args
-    else if !json_out <> None then
+    if names <> [] then names
+    else if json_out <> None then
       (* --json-out with no names: just the structured suite, which is what
          the CI perf-regression job consumes. *)
-      suite
+      Jord_exp.Benchmarks.names
     else known
   in
   let t0 = Unix.gettimeofday () in
   List.iter
     (fun name ->
-      if name = "micro" then micro ()
-      else if Jord_exp.Benchmarks.is_known name then run_suite name
-      else (List.assoc name experiments) ())
+      match Jord_exp.Experiments.find name with
+      | Some e ->
+          section e.title;
+          print_string (e.report ~quick ~seeds)
+      | None -> if name = "micro" then micro ~quick else run_suite ~quick ~json_out name)
     selected;
   Printf.eprintf "\n[bench completed in %.1f s]\n" (Unix.gettimeofday () -. t0)
+
+let () =
+  let experiment =
+    Arg.conv'
+      ( (fun s ->
+          if List.mem s known then Ok s
+          else
+            Error
+              (Printf.sprintf "unknown experiment %S; valid experiments: %s" s
+                 (String.concat ", " known))),
+        Format.pp_print_string )
+  in
+  let jobs =
+    Arg.conv'
+      ( (fun s ->
+          match int_of_string_opt s with
+          | Some n when n >= 1 -> Ok n
+          | _ -> Error "must be an integer >= 1"),
+        Format.pp_print_int )
+  in
+  let term =
+    Term.(
+      const main
+      $ Arg.(value & flag & info [ "q"; "quick" ] ~doc:"Shorter simulations.")
+      $ Arg.(value & opt int 1
+             & info [ "seeds" ] ~docv:"N"
+                 ~doc:"Independent seeds per figure-9 point (median p99, mean throughput).")
+      $ Arg.(value & opt (some string) None
+             & info [ "metrics-dir" ] ~docv:"DIR"
+                 ~doc:"Dump each figure point's machine counters as DIR/<point>.prom.")
+      $ Arg.(value & opt (some string) None
+             & info [ "json-out" ] ~docv:"DIR"
+                 ~doc:"Write each structured-suite experiment as \
+                       DIR/BENCH_<experiment>.json; alone, runs just that suite.")
+      $ Arg.(value & opt jobs 1
+             & info [ "j"; "jobs" ] ~docv:"N"
+                 ~doc:"Run sweep points on an N-domain pool (reports stay byte-identical).")
+      $ Arg.(value & flag
+             & info [ "selftest-par" ]
+                 ~doc:"Assert the domain pool is deterministic and measurably faster.")
+      $ Arg.(value & pos_all experiment []
+             & info [] ~docv:"EXPERIMENT" ~doc:"Experiments to run (default: all)."))
+  in
+  let info = Cmd.info "main.exe" ~doc:"Regenerate the paper's evaluation and run the benchmarks" in
+  (* Command-line errors exit 2, like an unknown experiment always has. *)
+  exit (match Cmd.eval (Cmd.v info term) with 124 -> 2 | code -> code)

@@ -6,7 +6,8 @@
 
 val names : string list
 (** Experiment names, in run order: engine, vm, server, cluster,
-    cluster_sharded, trace, slo_overhead. [cluster_sharded] runs the same
+    cluster_sharded, chaos_failover, fleet_scale, fleet_trace_overhead,
+    trace, slo_overhead. [cluster_sharded] runs the same
     seeded 8-server workload sequentially and on 4 parallel engine shards:
     its [determinism_ok] count hard-gates result byte-equality, while
     events/sec and the sharded speedup are advisory wall-clock. *)

@@ -157,13 +157,25 @@ let receive_forwarded t req =
   let orch = t.orchs.(req.Request.id mod Array.length t.orchs) in
   Orchestrator.internal_arrival t.ctx orch req t.ctx.Executor.engine
 
+let validate cfg =
+  let cores = cfg.machine.Jord_arch.Config.cores in
+  if cfg.orchestrators >= 1 && 2 * cfg.orchestrators <= cores then Ok ()
+  else
+    Error
+      (Printf.sprintf
+         "%d orchestrators on %d cores leave an orchestrator without an \
+          executor (each owns a block of cores / orchestrators cores, so \
+          cores must be >= 2 x orchestrators)"
+         cfg.orchestrators cores)
+
 let create ?engine cfg app =
   (match Model.validate app with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Server.create: invalid app: " ^ msg));
+  (match validate cfg with
+  | Ok () -> ()
+  | Error msg -> invalid_arg ("Server.create: " ^ msg));
   let n = cfg.machine.Jord_arch.Config.cores in
-  if cfg.orchestrators < 1 || cfg.orchestrators >= n then
-    invalid_arg "Server.create: orchestrator count";
   let topo = Jord_arch.Topology.create cfg.machine in
   let memsys = Jord_arch.Memsys.create topo in
   let va_cfg = Jord_vm.Va.default_config in

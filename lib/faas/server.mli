@@ -51,12 +51,18 @@ val default_config : config
 (** 32-core Table-2 machine, Jord variant, 2 orchestrators, JBSQ bound 4,
     16-entry VLBs. *)
 
+val validate : config -> (unit, string) result
+(** The machine shapes {!create} accepts. Each orchestrator owns a block of
+    [cores / orchestrators] cores: its own and its executors'. A block of
+    one would leave it nothing to dispatch to, so [Error] unless
+    [1 <= orchestrators] and [2 * orchestrators <= cores]. *)
+
 type t
 
 val create : ?engine:Jord_sim.Engine.t -> config -> Model.app -> t
 (** Build the machine, bootstrap PrivLib, register the app's functions.
-    Pass a shared [engine] to co-simulate several servers (see
-    {!Cluster}). *)
+    Raises [Invalid_argument] on a config {!validate} rejects. Pass a
+    shared [engine] to co-simulate several servers (see {!Cluster}). *)
 
 val engine : t -> Jord_sim.Engine.t
 val config : t -> config
