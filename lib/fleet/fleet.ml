@@ -212,9 +212,9 @@ let complete t ~server ~entry ~submit_ps ~req ~user ~hit ~ok ~queue_ps ~cold_ps
   if t.state.(server) = Draining && t.outstanding.(server) = 0 then finish_drain t server
 
 let route t ~user =
-  (* Request ids are arrival indices: arrivals are pre-scheduled on the
-     balancer engine in generation order, so the numbering is identical at
-     any shard count. *)
+  (* Request ids are arrival indices: arrivals fire on the balancer engine
+     in generation order, ahead of any same-instant event, so the numbering
+     is identical at any shard count. *)
   let req = t.arrivals in
   t.arrivals <- t.arrivals + 1;
   let entry = entry_of_user t ~user in
@@ -496,15 +496,13 @@ let run ?(slo = []) ?tracer t ~shape ~duration_us =
   | _ -> ());
   t.traffic <- Some shape;
   t.duration_us <- duration_us;
-  (* Pre-schedule the whole arrival stream on the balancer engine before
-     anything runs: the schedule is a pure function of the shape, so it is
-     identical at every shard count. *)
-  let (_ : int) =
-    Jord_workloads.Loadgen.population
-      ~submit:(fun ~time ~user ->
-        Engine.schedule_at t.engine ~time (fun _ -> route t ~user))
-      ~shape ~duration_us ()
-  in
+  (* Arrivals stream through the balancer engine's arrival lane, one
+     pending at a time; each fires ahead of every other event at its
+     instant, so their order is a pure function of the shape and the same
+     at every shard count. *)
+  Jord_workloads.Loadgen.stream_population ~engine:t.engine
+    ~submit:(fun ~user -> route t ~user)
+    ~shape ~duration_us;
   (match t.autoscale with
   | None -> ()
   | Some (spec, ctl) ->

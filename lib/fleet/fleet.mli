@@ -9,8 +9,12 @@
     byte-identical to the sequential one. All routing state (outstanding
     counts, warm routes, lifecycle) is balancer-local and updated only by
     balancer-shard events; all member state is updated only by delivered
-    messages. Arrivals are pre-scheduled from the deterministic
-    {!Jord_workloads.Traffic} stream before any engine runs.
+    messages. Arrivals come from the deterministic
+    {!Jord_workloads.Traffic} stream, one pending at a time in the balancer
+    engine's arrival lane ({!Jord_sim.Engine.schedule_arrival_at}): each
+    fires ahead of every same-instant event, as if the whole stream had
+    been scheduled before the run, and memory holds only the requests in
+    flight plus the per-user Zipf table.
 
     The autoscaling controller ticks on the balancer engine at sim-time
     cadence, sampling the fleet's own {!Jord_telemetry} gauges
@@ -52,9 +56,10 @@ val run :
   shape:Jord_workloads.Traffic.shape ->
   duration_us:float ->
   unit
-(** Pre-schedule the whole arrival stream, start the autoscaler cadence,
-    and run to [3 * duration_us] (the drain horizon). With [?slo] a
-    {!Jord_obsv.Rollup} collects per-objective verdicts. With [?tracer]
+(** Arm the first arrival of the stream (each arrival arms the next as it
+    fires), start the autoscaler cadence, and run to [3 * duration_us]
+    (the drain horizon). With [?slo] a {!Jord_obsv.Rollup} collects
+    per-objective verdicts. With [?tracer]
     every request gets an {!Jord_obsv.Fspan} with exact phase attribution,
     tail-sampled deterministically: request ids are arrival indices, shed /
     SLO-violating / cold-start requests always survive, and rollup window

@@ -19,6 +19,10 @@ let schedule_handle t ~after f =
   if after < 0 then invalid_arg "Engine.schedule: negative delay";
   Event_queue.push t.queue ~time:Time.(t.now + after) f
 
+let schedule_arrival_at t ~time f =
+  if time < t.now then invalid_arg "Engine.schedule_arrival_at: time in the past";
+  Event_queue.push_arrival t.queue ~time f
+
 let schedule_at t ~time f = ignore (schedule_at_handle t ~time f : handle)
 let schedule t ~after f = ignore (schedule_handle t ~after f : handle)
 

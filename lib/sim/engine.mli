@@ -1,9 +1,9 @@
 (** Discrete-event simulation engine.
 
     Entities schedule closures at absolute or relative simulated times; the
-    engine runs them in timestamp order (FIFO among equal timestamps). Time
-    only advances between events, so a callback observes a consistent
-    [now].
+    engine runs them in timestamp order (FIFO among equal timestamps, except
+    that {!schedule_arrival_at} events go first). Time only advances between
+    events, so a callback observes a consistent [now].
 
     Scheduling is allocation-free in the engine itself: the event heap
     stores closures in recycled slots (see {!Event_queue}), so hot loops
@@ -32,6 +32,14 @@ val schedule : t -> after:Time.t -> (t -> unit) -> unit
 val schedule_at : t -> time:Time.t -> (t -> unit) -> unit
 (** [schedule_at t ~time f] runs [f] at absolute [time >= now t]. *)
 
+val schedule_arrival_at : t -> time:Time.t -> (t -> unit) -> unit
+(** As {!schedule_at}, in the arrival lane: the event fires before every
+    other event at the same instant, whenever that one was scheduled, and in
+    FIFO order among arrivals. A source that keeps just its next arrival
+    pending here runs in the order it would have had by scheduling its
+    whole stream before anything else. No handle: arrivals are neither
+    cancelled nor moved. *)
+
 val schedule_handle : t -> after:Time.t -> (t -> unit) -> handle
 val schedule_at_handle : t -> time:Time.t -> (t -> unit) -> handle
 (** As {!schedule} / {!schedule_at}, returning a handle for {!cancel} /
@@ -43,8 +51,8 @@ val cancel : t -> handle -> bool
 
 val reschedule : t -> handle -> time:Time.t -> bool
 (** Move a pending event to absolute [time >= now], keeping its handle
-    valid; among events at the new instant it fires last, as a fresh push
-    would. [false] on a stale handle. *)
+    valid; it fires after every event already queued for the new instant,
+    as a fresh {!schedule_at} would. [false] on a stale handle. *)
 
 val pending_handle : t -> handle -> bool
 (** Is this handle's event still queued? *)

@@ -6,7 +6,11 @@
    handle packs the slot id with the slot's generation so a handle held
    across the event's pop (or a cancel) goes stale instead of touching a
    recycled slot. pos_of maps slot id -> current heap position, which is
-   what makes cancel and reschedule O(log n) instead of a scan. *)
+   what makes cancel and reschedule O(log n) instead of a scan.
+
+   Arrival-lane events draw their seq from a second counter that starts at
+   min_int, so they sort ahead of every normally pushed event (seq >= 0) at
+   the same time and in FIFO order among themselves. *)
 
 type handle = int
 
@@ -21,6 +25,7 @@ type 'a t = {
   mutable slots : int array;
   mutable size : int;
   mutable next_seq : int;
+  mutable next_arrival_seq : int;
   (* Slot tables, indexed by slot id < slots_used. *)
   mutable payloads : 'a array; (* [||] until the first push *)
   mutable gens : int array;
@@ -38,6 +43,7 @@ let create () =
     slots = [||];
     size = 0;
     next_seq = 0;
+    next_arrival_seq = min_int;
     payloads = [||];
     gens = [||];
     pos_of = [||];
@@ -139,19 +145,28 @@ let free_slot t s =
   t.free.(t.free_top) <- s;
   t.free_top <- t.free_top + 1
 
-let push t ~time v =
+let push_seq t ~time ~seq v =
   if t.dummy = None then t.dummy <- Some v;
   ensure_heap_capacity t;
   let s = alloc_slot t v in
   let i = t.size in
   t.size <- i + 1;
   t.times.(i) <- time;
-  t.seqs.(i) <- t.next_seq;
-  t.next_seq <- t.next_seq + 1;
+  t.seqs.(i) <- seq;
   t.slots.(i) <- s;
   t.pos_of.(s) <- i;
   sift_up t i;
   s lor (t.gens.(s) lsl slot_bits)
+
+let push t ~time v =
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  push_seq t ~time ~seq v
+
+let push_arrival t ~time v =
+  let seq = t.next_arrival_seq in
+  t.next_arrival_seq <- seq + 1;
+  ignore (push_seq t ~time ~seq v : handle)
 
 let min_time_exn t =
   if t.size = 0 then invalid_arg "Event_queue.min_time_exn: empty";

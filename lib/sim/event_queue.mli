@@ -4,7 +4,10 @@
     Ties are broken by insertion order so the simulation is deterministic:
     two events scheduled for the same instant fire in the order they were
     scheduled, and the pop sequence depends only on the push sequence, never
-    on the heap's internal shape.
+    on the heap's internal shape. The one exception is the arrival lane
+    ({!push_arrival}): at equal times its events fire before every
+    {!push}ed event, whenever either was pushed, and in push order among
+    themselves.
 
     The heap is a structure of parallel [int] arrays, so a push performs no
     heap allocation once the backing arrays are warm — the engine's
@@ -29,6 +32,12 @@ val length : 'a t -> int
 
 val push : 'a t -> time:Time.t -> 'a -> handle
 (** Schedule a payload; the handle can later [cancel] or [reschedule] it. *)
+
+val push_arrival : 'a t -> time:Time.t -> 'a -> unit
+(** Schedule a payload in the arrival lane. It returns no handle: an
+    arrival is neither cancelled nor moved. A source that keeps one pending
+    arrival here fires in the same order as if it had pushed its whole
+    stream before anything else. *)
 
 val pop : 'a t -> (Time.t * 'a) option
 (** Remove and return the earliest event. *)
@@ -57,9 +66,9 @@ val cancel : 'a t -> handle -> bool
 
 val reschedule : 'a t -> handle -> time:Time.t -> bool
 (** Move a pending event to a new time in O(log n), keeping the handle
-    valid. The event is re-sequenced: among events at the new timestamp it
-    fires last, exactly as if it had been pushed at the reschedule point.
-    [false] if the handle is stale. *)
+    valid. The event is re-sequenced exactly as if it had been {!push}ed at
+    the reschedule point: it fires after every event already queued for the
+    new timestamp. [false] if the handle is stale. *)
 
 val clear : 'a t -> unit
 (** Drop every pending event (their handles all go stale). *)

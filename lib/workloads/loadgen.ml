@@ -100,10 +100,27 @@ let run_cluster ?(warmup = 2000) ?tracer ?on_cluster ?forward_after ?(shards = 1
   Cluster.run ~until:(Time.of_us (3.0 *. duration_us)) cluster;
   (cluster, recorder)
 
-(* Population traffic (fleet layer): walk a {!Traffic} stream and hand every
-   arrival to the caller. The stream is the same whether walked here or
-   materialized by {!Traffic.pregen} — the fleet pre-schedules through this
-   before its engines start, which is what keeps sharded runs identical. *)
+(* Population traffic (fleet layer). Only one arrival is ever pending, so
+   memory stays at the requests in flight whatever the run length; the
+   arrival lane puts it ahead of every same-picosecond event, whenever that
+   one was scheduled. The next arrival is armed before [submit] runs. *)
+let stream_population ~engine ~submit ~shape ~duration_us =
+  let stream = Traffic.make shape ~duration_us in
+  let user = ref 0 in
+  let rec fire _ =
+    let u = !user in
+    arm ();
+    submit ~user:u
+  and arm () =
+    match Traffic.next stream with
+    | Some a ->
+        user := a.Traffic.user;
+        Engine.schedule_arrival_at engine ~time:a.Traffic.at fire
+    | None -> ()
+  in
+  arm ()
+
+(* The same stream handed to the caller in one walk, with no engine. *)
 let population ~submit ~shape ~duration_us () =
   let stream = Traffic.make shape ~duration_us in
   let rec go () =

@@ -63,15 +63,30 @@ val run_cluster :
     round-robin placement — so results are byte-identical across shard
     counts. *)
 
+val stream_population :
+  engine:Jord_sim.Engine.t ->
+  submit:(user:int -> unit) ->
+  shape:Traffic.shape ->
+  duration_us:float ->
+  unit
+(** Open-loop population traffic, streamed: the {!Traffic} arrival stream
+    for [shape] over [duration_us] is drawn one arrival at a time, each
+    scheduled with {!Jord_sim.Engine.schedule_arrival_at}, and [submit]
+    runs at the arrival's time on [engine]. One arrival is pending at a
+    time — the next is armed just before [submit] runs — so memory does not
+    grow with the run length. Because the arrival lane fires ahead of every
+    other event at the same instant, the run is event-for-event the one
+    that pre-scheduling the whole stream before anything else would give.
+    The fleet layer drives its balancer with it. *)
+
 val population :
   submit:(time:Jord_sim.Time.t -> user:int -> unit) ->
   shape:Traffic.shape ->
   duration_us:float ->
   unit ->
   int
-(** Open-loop population traffic: draw the whole {!Traffic} arrival stream
-    for [shape] over [duration_us] and pass each arrival to [submit] in
-    nondecreasing time order, returning the arrival count. Byte-identical
-    to walking {!Traffic.pregen} — the fleet layer uses it to pre-schedule
-    arrivals before any engine runs, so sharded runs see the exact same
-    schedule as sequential ones. *)
+(** The same stream walked at once, with no engine: pass each arrival of
+    {!Traffic} for [shape] over [duration_us] to [submit] in nondecreasing
+    time order and return the arrival count. Byte-identical to walking
+    {!Traffic.pregen} and to the [submit] calls of {!stream_population},
+    with no engine or event cost: the bare generator, for timing it. *)

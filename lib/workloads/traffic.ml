@@ -38,11 +38,16 @@ let presets =
       } );
   ]
 
+(* Caps the Zipf alias table at 1.2 GB and keeps its indices in 4 bytes. *)
+let max_users = 100_000_000
+
 (* Every check is written so NaN fails it, and every float must be finite:
    a NaN or infinite rate, period or window would stall the generator. *)
 let validate t =
   let finite = List.for_all Float.is_finite in
   if t.users < 1 then Error "traffic: users must be >= 1"
+  else if t.users > max_users then
+    Error (Printf.sprintf "traffic: users must be <= %d" max_users)
   else if not (t.zipf_s >= 0.0 && finite [ t.zipf_s ]) then
     Error "traffic: zipf must be finite and >= 0"
   else if not (t.rate_mrps > 0.0 && finite [ t.rate_mrps ]) then
@@ -171,43 +176,64 @@ let peak_rate t =
   *. List.fold_left (fun acc f -> acc *. f.boost) 1.0 t.flash
 
 (* Vose alias table over the Zipf rank weights (r+1)^-s: O(users) to build,
-   O(1) per draw, and a pure function of (users, s) — no PRNG involved. *)
-type alias = { prob : float array; alias : int array }
+   O(1) per draw, and a pure function of (users, s) — no PRNG involved.
+
+   12 bytes per user: [prob] is the weight array, scaled in place, and the
+   alias indices are 4-byte ints in [alias] (users <= 1e8 < 2^31). The
+   build adds one 4-byte work array holding both stacks — small grows up
+   from 0, large down from n-1; an index sits on at most one of them, so
+   they never meet — and so peaks at 16 bytes per user. Each arithmetic
+   step is that of the textbook two-stack construction, in the same
+   order, so the table is bitwise the one it gives. *)
+type alias = { prob : float array; alias : Bytes.t }
+
+let get32 b i = Int32.to_int (Bytes.get_int32_le b (4 * i))
+let set32 b i v = Bytes.set_int32_le b (4 * i) (Int32.of_int v)
 
 let alias_build weights =
   let n = Array.length weights in
   let total = Array.fold_left ( +. ) 0.0 weights in
-  let scaled = Array.map (fun w -> w *. float_of_int n /. total) weights in
-  let prob = Array.make n 1.0 and alias = Array.init n Fun.id in
-  let small = Array.make n 0 and large = Array.make n 0 in
-  let ns = ref 0 and nl = ref 0 in
+  let scaled = weights in
   for i = 0 to n - 1 do
-    if scaled.(i) < 1.0 then begin
-      small.(!ns) <- i;
-      incr ns
-    end
-    else begin
-      large.(!nl) <- i;
-      incr nl
-    end
+    scaled.(i) <- scaled.(i) *. float_of_int n /. total
+  done;
+  let alias = Bytes.create (4 * n) and work = Bytes.create (4 * n) in
+  let ns = ref 0 and nl = ref 0 in
+  let push_small i =
+    set32 work !ns i;
+    incr ns
+  and push_large i =
+    set32 work (n - 1 - !nl) i;
+    incr nl
+  in
+  for i = 0 to n - 1 do
+    if scaled.(i) < 1.0 then push_small i else push_large i
   done;
   while !ns > 0 && !nl > 0 do
     decr ns;
     decr nl;
-    let s = small.(!ns) and l = large.(!nl) in
-    prob.(s) <- scaled.(s);
-    alias.(s) <- l;
+    let s = get32 work !ns and l = get32 work (n - 1 - !nl) in
+    (* No prob.(s) store: [scaled] is [prob], and s has left both stacks,
+       so scaled.(s) is final. *)
+    set32 alias s l;
     scaled.(l) <- scaled.(l) +. scaled.(s) -. 1.0;
-    if scaled.(l) < 1.0 then begin
-      small.(!ns) <- l;
-      incr ns
-    end
-    else begin
-      large.(!nl) <- l;
-      incr nl
-    end
+    if scaled.(l) < 1.0 then push_small l else push_large l
   done;
-  { prob; alias }
+  (* Whatever is left on either stack is its own alias with prob 1. *)
+  let leftover i =
+    scaled.(i) <- 1.0;
+    set32 alias i i
+  in
+  for k = 0 to !ns - 1 do
+    leftover (get32 work k)
+  done;
+  for k = 0 to !nl - 1 do
+    leftover (get32 work (n - 1 - k))
+  done;
+  { prob = scaled; alias }
+
+let alias_prob a i = a.prob.(i)
+let alias_index a i = get32 a.alias i
 
 let alias_of_shape t =
   alias_build (Array.init t.users (fun r -> (float_of_int (r + 1)) ** -.t.zipf_s))
@@ -215,7 +241,7 @@ let alias_of_shape t =
 let alias_pick a prng =
   let n = Array.length a.prob in
   let i = Jord_util.Prng.int prng n in
-  if Jord_util.Prng.float prng 1.0 < a.prob.(i) then i else a.alias.(i)
+  if Jord_util.Prng.float prng 1.0 < a.prob.(i) then i else alias_index a i
 
 type arrival = { at : Jord_sim.Time.t; user : int }
 

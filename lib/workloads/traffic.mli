@@ -18,7 +18,8 @@ type flash = {
 }
 
 type shape = {
-  users : int;  (** Population size; user ids are [0 .. users-1]. *)
+  users : int;
+      (** Population size, [1 .. 100_000_000]; user ids are [0 .. users-1]. *)
   zipf_s : float;  (** Zipf exponent of per-user rates ([0] = uniform). *)
   rate_mrps : float;  (** Baseline aggregate rate, requests per us (MRPS). *)
   diurnal_amp : float;  (** Diurnal amplitude in [\[0, 1)]; [0] disables. *)
@@ -71,7 +72,24 @@ val generated : t -> int
 (** Arrivals produced so far. *)
 
 val pregen : shape -> duration_us:float -> arrival array
-(** The whole schedule at once: exactly the arrivals {!next} would yield. *)
+(** The whole schedule at once: exactly the arrivals {!next} would yield.
+    The oracle the streamed forms are tested against. *)
+
+(** {2 Zipf alias table}
+
+    The user sampler behind {!make}, exposed so tests can compare it with
+    a reference construction. *)
+
+type alias
+(** A Vose alias table: an 8-byte probability and a 4-byte alias index per
+    entry. *)
+
+val alias_build : float array -> alias
+(** [alias_build w] builds the table for the positive weights [w] (at most
+    [2^31 - 1] of them) in place: [w] becomes the probability column. *)
+
+val alias_prob : alias -> int -> float
+val alias_index : alias -> int -> int
 
 val hash01 : seed:int -> user:int -> float
 (** Deterministic per-user uniform in [\[0, 1)] (SplitMix64 finalizer) —

@@ -8,10 +8,12 @@ module Engine = Jord_sim.Engine
 module Time = Jord_sim.Time
 
 (* --- Reference model: a queue is just the list of its pending events in
-   push order; popping takes the earliest (stable on ties). --- *)
+   push order; popping takes the earliest (stable on ties, arrival lane
+   first). --- *)
 
 type op =
   | Push of int (* time *)
+  | Push_arrival of int (* time; no handle *)
   | Pop
   | Cancel of int (* index into the handles issued so far *)
   | Reschedule of int * int (* handle index, new time *)
@@ -21,6 +23,7 @@ let gen_op =
     frequency
       [
         (5, map (fun t -> Push t) (int_bound 50));
+        (3, map (fun t -> Push_arrival t) (int_bound 50));
         (3, return Pop);
         (2, map (fun i -> Cancel i) (int_bound 200));
         (2, map2 (fun i t -> Reschedule (i, t)) (int_bound 200) (int_bound 50));
@@ -28,6 +31,7 @@ let gen_op =
 
 let print_op = function
   | Push t -> Printf.sprintf "push %d" t
+  | Push_arrival t -> Printf.sprintf "arrival %d" t
   | Pop -> "pop"
   | Cancel i -> Printf.sprintf "cancel #%d" i
   | Reschedule (i, t) -> Printf.sprintf "resched #%d @%d" i t
@@ -38,8 +42,9 @@ let arb_ops =
     QCheck.Gen.(list_size (int_bound 200) gen_op)
 
 (* Run the op list against both the real queue and a model list of
-   [(time, seq, id)] kept in logical-push order; the model's pop takes the
-   min (time, seq). Returns false on the first divergence. *)
+   [(time, lane, seq, id)] kept in logical-push order, lane 0 being the
+   arrival lane; the model's pop takes the min (time, lane, seq). Returns
+   false on the first divergence. *)
 let agrees_with_model ops =
   let q = Eq.create () in
   let model = ref [] in
@@ -53,17 +58,18 @@ let agrees_with_model ops =
   let model_pop () =
     match
       List.fold_left
-        (fun best ((t, s, _) as e) ->
+        (fun best ((t, l, s, _) as e) ->
           match best with
           | None -> Some e
-          | Some (bt, bs, _) -> if t < bt || (t = bt && s < bs) then Some e else best)
+          | Some (bt, bl, bs, _) -> if (t, l, s) < (bt, bl, bs) then Some e else best)
         None !model
     with
     | None -> None
-    | Some ((_, _, id) as e) ->
-        model := List.filter (fun (_, _, i) -> i <> id) !model;
+    | Some ((_, _, _, id) as e) ->
+        model := List.filter (fun (_, _, _, i) -> i <> id) !model;
         Some e
   in
+  let live id = List.exists (fun (_, _, _, j) -> j = id) !model in
   let ok = ref true in
   List.iter
     (fun op ->
@@ -71,33 +77,40 @@ let agrees_with_model ops =
         (match op with
         | Push t ->
             let h = Eq.push q ~time:t !next_id in
-            model := !model @ [ (t, !next_seq, !next_id) ];
+            model := !model @ [ (t, 1, !next_seq, !next_id) ];
             incr next_seq;
             record h !next_id
+        | Push_arrival t ->
+            (* Arrivals share the id space but take their own seq counter,
+               which is the id here: ids only grow, as the lane's seqs do. *)
+            Eq.push_arrival q ~time:t !next_id;
+            model := !model @ [ (t, 0, !next_id, !next_id) ];
+            incr next_id
         | Pop -> (
             match (Eq.pop q, model_pop ()) with
             | None, None -> ()
-            | Some (t, id), Some (mt, _, mid) -> ok := !ok && t = mt && id = mid
+            | Some (t, id), Some (mt, _, _, mid) -> ok := !ok && t = mt && id = mid
             | _ -> ok := false)
         | Cancel i ->
             if Array.length !handles > 0 then begin
               let h, id = !handles.(i mod Array.length !handles) in
-              let live = List.exists (fun (_, _, j) -> j = id) !model in
+              let was_live = live id in
               let r = Eq.cancel q h in
-              ok := !ok && r = live;
-              if r then model := List.filter (fun (_, _, j) -> j <> id) !model
+              ok := !ok && r = was_live;
+              if r then model := List.filter (fun (_, _, _, j) -> j <> id) !model
             end
         | Reschedule (i, t) ->
             if Array.length !handles > 0 then begin
               let h, id = !handles.(i mod Array.length !handles) in
-              let live = List.exists (fun (_, _, j) -> j = id) !model in
+              let was_live = live id in
               let r = Eq.reschedule q h ~time:t in
-              ok := !ok && r = live;
+              ok := !ok && r = was_live;
               if r then begin
-                (* A reschedule re-sequences: among equal new timestamps the
-                   event fires last, as a fresh push would. *)
-                model := List.filter (fun (_, _, j) -> j <> id) !model;
-                model := !model @ [ (t, !next_seq, id) ];
+                (* A reschedule re-sequences in the normal lane: among equal
+                   new timestamps it fires after every queued normal event
+                   and after every arrival, as a fresh push would. *)
+                model := List.filter (fun (_, _, _, j) -> j <> id) !model;
+                model := !model @ [ (t, 1, !next_seq, id) ];
                 incr next_seq
               end
             end);
@@ -107,7 +120,7 @@ let agrees_with_model ops =
   (* Drain both: remaining pops must agree too. *)
   while !ok && not (Eq.is_empty q) do
     match (Eq.pop q, model_pop ()) with
-    | Some (t, id), Some (mt, _, mid) -> ok := !ok && t = mt && id = mid
+    | Some (t, id), Some (mt, _, _, mid) -> ok := !ok && t = mt && id = mid
     | _ -> ok := false
   done;
   !ok && !model = []

@@ -3,6 +3,8 @@
    whether consumed live or pre-generated. *)
 
 module Traffic = Jord_workloads.Traffic
+module Loadgen = Jord_workloads.Loadgen
+module Engine = Jord_sim.Engine
 
 let check = Alcotest.(check bool)
 
@@ -73,6 +75,112 @@ let prop_live_equals_pregen =
       Array.of_list (List.rev !live) = pre
       && Traffic.generated t = Array.length pre)
 
+(* The fleet's arrival source: streamed through an engine, one pending
+   arrival at a time, the submits land at exactly the pre-generated times
+   and users. *)
+let prop_stream_equals_pregen =
+  QCheck.Test.make ~name:"streamed through an engine = pregenerated array" ~count:50
+    arb_shape (fun shape ->
+      let pre = Traffic.pregen shape ~duration_us:150.0 in
+      let e = Engine.create () in
+      let seen = ref [] and max_pending = ref 0 in
+      Loadgen.stream_population ~engine:e ~shape ~duration_us:150.0 ~submit:(fun ~user ->
+          max_pending := max !max_pending (Engine.pending e);
+          seen := (Engine.now e, user) :: !seen);
+      Engine.run e;
+      List.rev !seen = List.map (fun a -> (a.Traffic.at, a.Traffic.user)) (Array.to_list pre)
+      && !max_pending <= 1)
+
+(* The arrival lane: an event scheduled for an arrival's picosecond before
+   that arrival was even armed still fires after it. *)
+let test_stream_arrivals_first () =
+  let shape =
+    { (List.assoc "ci" Traffic.presets) with Traffic.users = 1000; rate_mrps = 2.0 }
+  in
+  let pre = Traffic.pregen shape ~duration_us:50.0 in
+  check "two distinct first arrivals" true
+    (Array.length pre >= 2 && pre.(0).Traffic.at < pre.(1).Traffic.at);
+  let e = Engine.create () in
+  let log = ref [] in
+  let at1 = pre.(1).Traffic.at in
+  Engine.schedule_at e ~time:at1 (fun _ -> log := "normal" :: !log);
+  Loadgen.stream_population ~engine:e ~shape ~duration_us:50.0 ~submit:(fun ~user:_ ->
+      if Engine.now e <= at1 then log := "arrival" :: !log);
+  Engine.run e;
+  Alcotest.(check (list string))
+    "both arrivals, then the normal event" [ "arrival"; "arrival"; "normal" ]
+    (List.rev !log)
+
+(* The textbook two-stack Vose construction, kept as the reference the packed
+   in-place table must match bit for bit. *)
+let reference_alias weights =
+  let n = Array.length weights in
+  let total = Array.fold_left ( +. ) 0.0 weights in
+  let scaled = Array.map (fun w -> w *. float_of_int n /. total) weights in
+  let prob = Array.make n 1.0 and alias = Array.init n Fun.id in
+  let small = Array.make n 0 and large = Array.make n 0 in
+  let ns = ref 0 and nl = ref 0 in
+  for i = 0 to n - 1 do
+    if scaled.(i) < 1.0 then begin
+      small.(!ns) <- i;
+      incr ns
+    end
+    else begin
+      large.(!nl) <- i;
+      incr nl
+    end
+  done;
+  while !ns > 0 && !nl > 0 do
+    decr ns;
+    decr nl;
+    let s = small.(!ns) and l = large.(!nl) in
+    prob.(s) <- scaled.(s);
+    alias.(s) <- l;
+    scaled.(l) <- scaled.(l) +. scaled.(s) -. 1.0;
+    if scaled.(l) < 1.0 then begin
+      small.(!ns) <- l;
+      incr ns
+    end
+    else begin
+      large.(!nl) <- l;
+      incr nl
+    end
+  done;
+  (prob, alias)
+
+let gen_weights =
+  QCheck.Gen.(
+    int_range 1 5000 >>= fun n ->
+    let uniform = array_repeat n (float_range 1e-6 1.0) in
+    let zipf s = return (Array.init n (fun r -> float_of_int (r + 1) ** -.s)) in
+    oneof
+      [
+        map (fun w -> ("uniform", w)) uniform;
+        map2
+          (fun w k ->
+            w.(k) <- 1000.0 *. float_of_int n;
+            ("dominant", w))
+          uniform (int_bound (n - 1));
+        map (fun w -> ("zipf s=0", w)) (zipf 0.0);
+        map (fun w -> ("zipf s=3", w)) (zipf 3.0);
+      ])
+
+let prop_alias_bitwise =
+  QCheck.Test.make ~name:"packed alias table = two-stack Vose, bitwise" ~count:100
+    (QCheck.make ~print:(fun (k, w) -> Printf.sprintf "%s n=%d" k (Array.length w)) gen_weights)
+    (fun (_, w) ->
+      let prob, alias = reference_alias w in
+      let a = Traffic.alias_build (Array.copy w) in
+      let ok = ref true in
+      Array.iteri
+        (fun i p ->
+          ok :=
+            !ok
+            && Int64.bits_of_float p = Int64.bits_of_float (Traffic.alias_prob a i)
+            && alias.(i) = Traffic.alias_index a i)
+        prob;
+      !ok)
+
 let prop_roundtrip =
   QCheck.Test.make ~name:"parse (to_string s) = Ok s" ~count:100 arb_shape
     (fun shape -> Traffic.parse (Traffic.to_string shape) = Ok shape)
@@ -113,6 +221,14 @@ let test_parse_errors () =
   bad "flash=1:2";
   bad "flash=100:50:0.5";
   bad "steady,period-us=-1"
+
+(* The alias table keeps 12 bytes per user and 4-byte indices: 10^8 users
+   is the most a shape may ask for. *)
+let test_users_capped () =
+  check "1e8 users accepted" true (Result.is_ok (Traffic.parse "users=100000000"));
+  check "1e8 + 1 users rejected" true (Result.is_error (Traffic.parse "users=100000001"));
+  check "max_int users rejected" true
+    (Result.is_error (Traffic.parse "users=4611686018427387903"))
 
 let test_parse_preset_override () =
   match Traffic.parse "ci,rate=42,users=1234" with
@@ -190,10 +306,15 @@ let suite =
     QCheck_alcotest.to_alcotest prop_seed_deterministic;
     QCheck_alcotest.to_alcotest prop_seed_sensitive;
     QCheck_alcotest.to_alcotest prop_live_equals_pregen;
+    QCheck_alcotest.to_alcotest prop_stream_equals_pregen;
+    QCheck_alcotest.to_alcotest prop_alias_bitwise;
     QCheck_alcotest.to_alcotest prop_roundtrip;
     QCheck_alcotest.to_alcotest prop_fuzz;
     Alcotest.test_case "presets validate and roundtrip" `Quick test_presets_valid;
     Alcotest.test_case "parse rejects bad specs" `Quick test_parse_errors;
+    Alcotest.test_case "users capped at 1e8" `Quick test_users_capped;
+    Alcotest.test_case "stream: arrivals fire first at their instant" `Quick
+      test_stream_arrivals_first;
     Alcotest.test_case "preset with overrides" `Quick test_parse_preset_override;
     Alcotest.test_case "flash crowd boosts the window" `Quick test_flash_boosts_rate;
     Alcotest.test_case "zipf population is head-heavy" `Quick test_zipf_skew;
