@@ -11,8 +11,6 @@ type t = {
   l1_size : int;
   l1_ways : int;
   l1_latency : int;
-  llc_slice_size : int;
-  llc_ways : int;
   llc_latency : int;
   line : int;
   dram_ns : float;
@@ -32,8 +30,6 @@ let default =
     l1_size = 32 * 1024;
     l1_ways = 8;
     l1_latency = 2;
-    llc_slice_size = 2 * 1024 * 1024;
-    llc_ways = 16;
     llc_latency = 6;
     line = 64;
     dram_ns = 90.0;

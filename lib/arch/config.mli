@@ -15,8 +15,6 @@ type t = {
   l1_size : int;  (** L1D bytes. *)
   l1_ways : int;
   l1_latency : int;  (** Cycles for an L1D hit. *)
-  llc_slice_size : int;  (** LLC bytes per tile. *)
-  llc_ways : int;
   llc_latency : int;  (** Cycles for an LLC access (excluding NoC). *)
   line : int;  (** Cache line bytes. *)
   dram_ns : float;  (** DRAM access latency. *)
@@ -26,7 +24,9 @@ type t = {
 
 val default : t
 (** The 32-core configuration of Table 2: 4 GHz, 8x4 mesh, 32 KB 8-way L1D
-    (2-cycle), 2 MB/tile 16-way LLC (6-cycle), 3-cycle links, 1 socket. *)
+    (2-cycle), one 6-cycle LLC slice per tile, 3-cycle links, 1 socket.
+    Table 2's LLC is 2 MB/tile 16-way; its capacity is not modelled, since
+    a line stays LLC-resident after first touch. *)
 
 val fpga : t
 (** Two-core OpenXiangShan-like configuration used for the FPGA column of

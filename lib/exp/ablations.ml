@@ -84,7 +84,7 @@ let sub_array_overflow () =
       for pd = 1 to sharers do
         Vm.Vte.set_perm vte ~pd Vm.Perm.rw
       done;
-      ignore (Vm.Vma_store.insert (Vm.Hw.store hw) vte);
+      Vm.Vma_store.insert (Vm.Hw.store hw) vte;
       let mmu = Vm.Hw.mmu hw ~core:0 in
       (* Measure a warm translate as the LAST-added PD (worst position). *)
       Vm.Mmu.set_ucid mmu sharers;
@@ -92,8 +92,7 @@ let sub_array_overflow () =
       let acc = ref 0.0 in
       let n = 200 in
       for _ = 1 to n do
-        let _, lat = Vm.Hw.translate hw ~core:0 ~va:base ~access:Vm.Perm.Read ~kind:`Data in
-        acc := !acc +. lat
+        acc := !acc +. Vm.Hw.translate hw ~core:0 ~va:base ~access:Vm.Perm.Read ~kind:`Data
       done;
       Vm.Mmu.set_ucid mmu 0;
       (sharers, !acc /. float_of_int n))
@@ -111,9 +110,7 @@ let vtd_fallback ~sets ~live_vtes =
   done;
   let fallback = ref 0 in
   for i = 0 to live_vtes - 1 do
-    match Vm.Vtd.sharers vtd ~vte_addr:(i * 64) with
-    | `Tracked _ -> ()
-    | `Untracked -> incr fallback
+    if Vm.Vtd.write_slot vtd ~vte_addr:(i * 64) < 0 then incr fallback
   done;
   float_of_int !fallback /. float_of_int live_vtes
 

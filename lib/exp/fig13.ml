@@ -50,7 +50,7 @@ let run ?(quick = false) () =
   let jord_srv, _ = probe Variant.Jord in
   let bt_srv, _ = probe Variant.Jord_bt in
   let bt_rebalances =
-    match Jord_vm.Hw.store (Server.hw bt_srv) with
+    match Jord_vm.Vma_store.backend (Jord_vm.Hw.store (Server.hw bt_srv)) with
     | Jord_vm.Vma_store.Btree b -> Jord_vm.Vma_btree.rebalance_ops b
     | Jord_vm.Vma_store.Plain _ -> 0
   in

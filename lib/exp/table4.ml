@@ -53,10 +53,7 @@ let vma_lookup env ~iters ~warm =
   let lat =
     collect ~iters ~warm (fun _ ->
         ignore (Vm.Vlb.invalidate_vte (Vm.Mmu.d_vlb mmu) ~vte_addr:tag);
-        let _, l =
-          Vm.Hw.translate env.hw ~core:env.core ~va ~access:Vm.Perm.Read ~kind:`Data
-        in
-        l)
+        Vm.Hw.translate env.hw ~core:env.core ~va ~access:Vm.Perm.Read ~kind:`Data)
   in
   ignore (Pl.munmap env.priv ~core:env.core ~va);
   lat

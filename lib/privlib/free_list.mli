@@ -24,17 +24,25 @@ val create :
   t
 (** [refill_batch] chunks are reserved per [uat_config] call (default 64);
     each core-local shard exchanges [shard_batch] chunks (default 16) with
-    the shared list. *)
+    the shared list. Core [c] uses shard [c mod cores] (default 512
+    shards). *)
 
 val alloc :
   t ->
   memsys:Jord_arch.Memsys.t ->
   core:int ->
   Jord_vm.Size_class.t ->
-  int * int * float
-(** [alloc t ~memsys ~core sc] pops a chunk: [(index, phys, latency_ns)].
-    The latency covers the atomic list-head update, the chunk-header read,
-    and — rarely — the refill syscall. *)
+  int
+(** [alloc t ~memsys ~core sc] pops a chunk and returns its index; {!phys}
+    is its backing and {!alloc_ns} this call's latency, which covers the
+    atomic list-head update, the chunk-header read, and — rarely — the
+    refill syscall. *)
+
+val alloc_ns : t -> float
+(** Latency of the last {!alloc}. *)
+
+val phys : t -> Jord_vm.Size_class.t -> int -> int
+(** Physical backing of a chunk index the class has handed out. *)
 
 val free :
   t ->
@@ -42,9 +50,9 @@ val free :
   core:int ->
   Jord_vm.Size_class.t ->
   index:int ->
-  phys:int ->
   float
-(** Push a chunk back; returns latency. *)
+(** Push a chunk back; returns latency.
+    @raise Jord_vm.Fault.Fault if the chunk is not allocated. *)
 
 val live_chunks : t -> int
 (** Chunks currently allocated (popped and not yet pushed back). *)

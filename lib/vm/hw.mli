@@ -33,12 +33,12 @@ val instr_ns : t -> int -> float
 (** Straight-line instruction cost under the machine's CPU profile. *)
 
 val translate :
-  t -> core:int -> va:int -> access:Perm.access -> kind:[ `Instr | `Data ] -> Vte.t * float
+  t -> core:int -> va:int -> access:Perm.access -> kind:[ `Instr | `Data ] -> float
 (** Translation + protection check for the PD currently in the core's ucid:
     VLB lookup, VTW walk on miss (charged through the memory system, with
     VTD registration), sub-array/overflow permission resolution, P-bit
     check.
-    Returns the VTE and the translation latency in ns (0 on a VLB hit).
+    Returns the translation latency in ns (0 on a VLB hit).
     @raise Fault.Fault on unmapped VA, denied permission or privilege
     violation. *)
 
@@ -53,9 +53,10 @@ val access :
 (** {!translate} followed by the data access(es) at the translated physical
     address: total latency in ns. *)
 
-val charge_footprint : t -> core:int -> Vma_store.footprint -> float
-(** Drive a VMA-structure operation's reads/writes through the memory
-    system (walker and PrivLib traffic). *)
+val charge_footprint : t -> core:int -> float
+(** Drive the reads, then the writes, of the store's last operation through
+    the memory system (walker and PrivLib traffic); returns their summed
+    latency. *)
 
 val shootdown : t -> core:int -> va:int -> float
 (** T-bit VTE-write handling for the VMA covering [va]: consult the VTD (or

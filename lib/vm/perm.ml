@@ -11,6 +11,7 @@ let rwx = r lor w lor x
 let make ?(read = false) ?(write = false) ?(exec = false) () =
   (if read then r else 0) lor (if write then w else 0) lor (if exec then x else 0)
 
+let of_bits b = b land rwx
 let union = ( lor )
 let inter = ( land )
 let can_read t = t land r <> 0

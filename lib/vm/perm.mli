@@ -11,6 +11,10 @@ val rx : t
 val rwx : t
 
 val make : ?read:bool -> ?write:bool -> ?exec:bool -> unit -> t
+val of_bits : int -> t
+(** The permission held in the low three bits of an int: the inverse of
+    [(p :> int)], for packing a permission into a wider word. *)
+
 val union : t -> t -> t
 val inter : t -> t -> t
 

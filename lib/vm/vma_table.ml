@@ -1,49 +1,37 @@
-type t = { cfg : Va.config; entries : (int, Vte.t) Hashtbl.t }
+type t = { cfg : Va.config; entries : Vte.t Jord_util.Int_table.t; vacant : Vte.t }
 
-let create cfg = { cfg; entries = Hashtbl.create 1024 }
+let create cfg =
+  let vacant = Vte.vacant () in
+  { cfg; entries = Jord_util.Int_table.create ~size:512 vacant; vacant }
+
 let config t = t.cfg
 
-let slot_of_va t va =
-  match Va.decode t.cfg va with
-  | None -> None
-  | Some (sc, index, _) -> Some (Va.vte_index t.cfg sc ~index, Va.vte_addr t.cfg sc ~index)
+let entry_addr t ~va =
+  let idx = Va.vte_index_of_va t.cfg va in
+  if idx < 0 then -1 else Va.vte_addr_at t.cfg idx
 
-let lookup t ~va =
-  match slot_of_va t va with
-  | None -> (None, [])
-  | Some (idx, addr) -> (
-      match Hashtbl.find_opt t.entries idx with
-      | Some vte when Vte.covers vte va -> (Some vte, [ addr ])
-      | Some _ | None -> (None, [ addr ]))
+(* The entry in [va]'s slot when it covers [va], else [vacant]. *)
+let covering t va =
+  let slot = Jord_util.Int_table.find t.entries (Va.vte_index_of_va t.cfg va) in
+  if slot < 0 then t.vacant
+  else
+    let vte = Jord_util.Int_table.value t.entries slot in
+    if Vte.covers vte va then vte else t.vacant
 
-let find_base t ~base =
-  match slot_of_va t base with
-  | None -> None
-  | Some (idx, _) -> (
-      match Hashtbl.find_opt t.entries idx with
-      | Some vte when Vte.base vte = base -> Some vte
-      | Some _ | None -> None)
+let lookup t ~va = covering t va
 
 let insert t vte =
-  match slot_of_va t (Vte.base vte) with
-  | None -> invalid_arg "Vma_table.insert: not a Jord VA"
-  | Some (idx, addr) ->
-      if Hashtbl.mem t.entries idx then invalid_arg "Vma_table.insert: slot occupied";
-      Hashtbl.add t.entries idx vte;
-      [ addr ]
+  let idx = Va.vte_index_of_va t.cfg (Vte.base vte) in
+  if idx < 0 then invalid_arg "Vma_table.insert: not a Jord VA";
+  if Jord_util.Int_table.find t.entries idx >= 0 then
+    invalid_arg "Vma_table.insert: slot occupied";
+  ignore (Jord_util.Int_table.add t.entries idx vte : int)
 
 let remove t ~va =
-  match slot_of_va t va with
-  | None -> (None, [])
-  | Some (idx, addr) -> (
-      match Hashtbl.find_opt t.entries idx with
-      | Some vte when Vte.covers vte va ->
-          Hashtbl.remove t.entries idx;
-          (Some vte, [ addr ])
-      | Some _ | None -> (None, [ addr ]))
+  let vte = covering t va in
+  if vte != t.vacant then
+    Jord_util.Int_table.remove t.entries (Va.vte_index_of_va t.cfg va);
+  vte
 
-let touch_addrs t ~va =
-  match slot_of_va t va with Some (_, addr) -> [ addr ] | None -> []
-
-let count t = Hashtbl.length t.entries
-let iter f t = Hashtbl.iter (fun _ vte -> f vte) t.entries
+let count t = Jord_util.Int_table.length t.entries
+let iter f t = Jord_util.Int_table.iter (fun _ vte -> f vte) t.entries

@@ -3,32 +3,33 @@
     Because a VA encodes its own size class and index, the table entry
     position is computed — never searched. Every operation therefore touches
     exactly one VTE cache block, which is what makes VMA operations
-    nanosecond-scale. Operations return the list of byte addresses they
-    touched so the caller can charge them through the memory model. *)
+    nanosecond-scale; {!entry_addr} is that block, for the caller to charge
+    through the memory model. Entries sit in an int-keyed open-addressing
+    table ({!Jord_util.Int_table}) keyed by plain-list position, and a
+    lookup that finds nothing returns a {!Vte.vacant} entry, so no
+    operation allocates. *)
 
 type t
 
 val create : Va.config -> t
 val config : t -> Va.config
 
-val lookup : t -> va:int -> Vte.t option * int list
-(** Find the entry covering [va] (bound-checked). The returned address list
-    is the single VTE block computed from the VA. Non-Jord VAs return
-    [(None, [])]. *)
+val entry_addr : t -> va:int -> int
+(** Byte address of the VTE block computed from [va] — the one block every
+    operation on [va] touches — or [-1] for a non-Jord VA. *)
 
-val find_base : t -> base:int -> Vte.t option
-(** Entry whose base VA is exactly [base], without charging. *)
+val lookup : t -> va:int -> Vte.t
+(** The entry covering [va] (bound-checked), or a vacant entry, which covers
+    no address: test the result with {!Vte.covers}. *)
 
-val insert : t -> Vte.t -> int list
+val insert : t -> Vte.t -> unit
 (** Install an entry at the slot implied by its base VA.
     @raise Invalid_argument if the slot is occupied or the base is not a
     Jord VA. *)
 
-val remove : t -> va:int -> Vte.t option * int list
-(** Delete the entry covering [va]. *)
-
-val touch_addrs : t -> va:int -> int list
-(** Addresses written by an in-place VTE update (permission change). *)
+val remove : t -> va:int -> Vte.t
+(** Delete the entry covering [va]; returns it, or a vacant entry if none
+    did. *)
 
 val count : t -> int
 

@@ -26,9 +26,15 @@ val stats : t -> stats
 val note_read : t -> vte_addr:int -> core:int -> unit
 (** Register [core]'s VLB as a sharer of the translation (T-bit read). *)
 
-val sharers : t -> vte_addr:int -> [ `Tracked of int list | `Untracked ]
-(** Sharer list for a VTE write. [`Untracked] means the VTD lost the entry
+val write_slot : t -> vte_addr:int -> int
+(** For a VTE write: the slot tracking the translation, counted as a tracked
+    shootdown; or [-1], counted as a fallback, when the VTD lost the entry
     and the caller must fall back on the coherence directory. *)
+
+val sharers : t -> int -> Jord_util.Bitset.t
+(** Cores whose VLBs hold the translation tracked in a slot returned by
+    {!write_slot}: the VTD's own set, to be walked in place (with
+    {!Jord_util.Bitset.next_member}) before {!note_write} clears it. *)
 
 val note_write : t -> vte_addr:int -> unit
 (** Clear tracking after the invalidations for a VTE write went out. *)

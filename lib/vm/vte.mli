@@ -22,6 +22,12 @@ val create :
     (the bound); the backing chunk may be larger. [global_perm = Some p]
     sets the G bit. *)
 
+val vacant : unit -> t
+(** A fresh placeholder that covers no address (its bound is zero). Empty
+    VLB entries and table slots hold one, and a store lookup that finds
+    nothing returns one, so probes need no option. It holds no slots and
+    is never resized or granted to. *)
+
 val base : t -> int
 val bytes : t -> int
 val phys : t -> int
@@ -55,7 +61,9 @@ val has_pd : t -> pd:int -> bool
 val sharer_count : t -> int
 (** PDs currently holding a non-empty permission. *)
 
-val sharer_pds : t -> int list
+val iter_sharers : (int -> unit) -> t -> unit
+(** Every PD holding a non-empty permission: sub-array slots in order, then
+    the overflow list. *)
 
 val resize : t -> bytes:int -> unit
 (** Change the bound (must stay within the backing chunk's size class). *)

@@ -16,15 +16,15 @@ let install hw ~index ~bytes ?(privileged = false) ?(global_perm = None) perms =
     Vte.create ~base ~bytes ~phys:(0x200000 + (index * 65536)) ~privileged ~global_perm ()
   in
   List.iter (fun (pd, p) -> Vte.set_perm vte ~pd p) perms;
-  ignore (Vma_store.insert (Hw.store hw) vte);
+  Vma_store.insert (Hw.store hw) vte;
   base
 
 let test_translate_hit_after_walk () =
   let hw = make_hw () in
   let va = install hw ~index:1 ~bytes:4096 [ (0, Perm.rw) ] in
-  let _, l1 = Hw.translate hw ~core:0 ~va ~access:Perm.Read ~kind:`Data in
+  let l1 = Hw.translate hw ~core:0 ~va ~access:Perm.Read ~kind:`Data in
   Alcotest.(check bool) "walk costs time" true (l1 > 0.0);
-  let _, l2 = Hw.translate hw ~core:0 ~va ~access:Perm.Read ~kind:`Data in
+  let l2 = Hw.translate hw ~core:0 ~va ~access:Perm.Read ~kind:`Data in
   Alcotest.(check (float 1e-9)) "VLB hit is free" 0.0 l2;
   Alcotest.(check int) "one walk" 1 (Hw.walk_count hw)
 
@@ -91,7 +91,7 @@ let test_shootdown_invalidates_remote_vlb () =
   let ns = Hw.shootdown hw ~core:0 ~va in
   Alcotest.(check bool) "remote invalidation has latency" true (ns > 0.0);
   (* Core 9 must re-walk now. *)
-  let _, lat = Hw.translate hw ~core:9 ~va ~access:Perm.Read ~kind:`Data in
+  let lat = Hw.translate hw ~core:9 ~va ~access:Perm.Read ~kind:`Data in
   Alcotest.(check bool) "core 9 re-walks" true (lat > 0.0);
   Alcotest.(check int) "two shootdown events recorded" 1 (Hw.shootdown_count hw)
 
@@ -110,16 +110,16 @@ let test_overflow_chase_charged () =
   for pd = 1 to 24 do
     Vte.set_perm vte ~pd Perm.r
   done;
-  ignore (Vma_store.insert (Hw.store hw) vte);
+  Vma_store.insert (Hw.store hw) vte;
   let mmu = Hw.mmu hw ~core:0 in
   (* PD 24 lives in the overflow list: the check costs an extra access even
      on a VLB hit. *)
   Mmu.set_ucid mmu 24;
   ignore (Hw.translate hw ~core:0 ~va:base ~access:Perm.Read ~kind:`Data);
-  let _, lat = Hw.translate hw ~core:0 ~va:base ~access:Perm.Read ~kind:`Data in
+  let lat = Hw.translate hw ~core:0 ~va:base ~access:Perm.Read ~kind:`Data in
   Alcotest.(check bool) "overflow chase on hit" true (lat > 0.0);
   Mmu.set_ucid mmu 1;
-  let _, lat2 = Hw.translate hw ~core:0 ~va:base ~access:Perm.Read ~kind:`Data in
+  let lat2 = Hw.translate hw ~core:0 ~va:base ~access:Perm.Read ~kind:`Data in
   Alcotest.(check (float 1e-9)) "sub-array hit free" 0.0 lat2;
   Mmu.set_ucid mmu 0
 
@@ -146,12 +146,12 @@ let test_btree_walk_costs_more () =
       let sc = Size_class.of_size 4096 in
       let b = Va.encode cfg sc ~index ~offset:0 in
       let vte = Vte.create ~base:b ~bytes:4096 ~phys:(0x500000 + (index * 4096)) ~global_perm:(Some Perm.rw) () in
-      ignore (Vma_store.insert (Hw.store hw) vte);
+      Vma_store.insert (Hw.store hw) vte;
       if index = 32 then base := b
     done;
     ignore (Hw.translate hw ~core:0 ~va:!base ~access:Perm.Read ~kind:`Data);
     ignore (Vlb.invalidate_vte (Mmu.d_vlb (Hw.mmu hw ~core:0)) ~vte_addr:(Va.vte_addr_of_va cfg !base));
-    let _, lat = Hw.translate hw ~core:0 ~va:!base ~access:Perm.Read ~kind:`Data in
+    let lat = Hw.translate hw ~core:0 ~va:!base ~access:Perm.Read ~kind:`Data in
     lat
   in
   let pl = walk plain_hw and bt = walk bt_hw in

@@ -3,6 +3,7 @@ open Jord_arch
 let make () = Memsys.create (Topology.create Config.default)
 
 let l1_hit_ns = 0.5 (* 2 cycles at 4 GHz *)
+let sharers m ~addr = Jord_util.Bitset.to_list (Memsys.sharers m ~addr)
 
 let test_read_then_hit () =
   let m = make () in
@@ -26,9 +27,9 @@ let test_write_invalidates_readers () =
   let m = make () in
   ignore (Memsys.read m ~core:1 ~addr:0x3000);
   ignore (Memsys.read m ~core:2 ~addr:0x3000);
-  Alcotest.(check (list int)) "two sharers" [ 1; 2 ] (Memsys.sharers m ~addr:0x3000);
+  Alcotest.(check (list int)) "two sharers" [ 1; 2 ] (sharers m ~addr:0x3000);
   ignore (Memsys.write m ~core:1 ~addr:0x3000);
-  Alcotest.(check (list int)) "writer owns alone" [ 1 ] (Memsys.sharers m ~addr:0x3000);
+  Alcotest.(check (list int)) "writer owns alone" [ 1 ] (sharers m ~addr:0x3000);
   (* Reader 2 must now miss. *)
   let lat = Memsys.read m ~core:2 ~addr:0x3000 in
   Alcotest.(check bool) "reader 2 misses after invalidation" true (lat > l1_hit_ns)
@@ -96,7 +97,7 @@ let test_eviction_updates_directory () =
   for i = 0 to 8 do
     ignore (Memsys.read m ~core:0 ~addr:(0x100000 + (i * 4096)))
   done;
-  let evicted_sharers = Memsys.sharers m ~addr:0x100000 in
+  let evicted_sharers = sharers m ~addr:0x100000 in
   Alcotest.(check (list int)) "evicted line dropped from directory" [] evicted_sharers
 
 let suite =

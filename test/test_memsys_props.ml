@@ -35,7 +35,7 @@ let prop_single_writer =
       List.iter (apply m) ops;
       List.for_all
         (fun addr ->
-          let sharers = Memsys.sharers m ~addr in
+          let sharers = Jord_util.Bitset.to_list (Memsys.sharers m ~addr) in
           let writable = List.length sharers <= 1 in
           (* More than one sharer is fine only if no write has exclusive
              ownership; we detect it through a probe: a read from a sharer
