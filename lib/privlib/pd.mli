@@ -16,8 +16,11 @@ val create : ?max_pds:int -> ?cores:int -> unit -> t
 (** Default capacity 4096 PDs; ids are handed out through per-core shard
     caches (batches detached from the shared list with one atomic). *)
 
-val alloc : t -> memsys:Jord_arch.Memsys.t -> core:int -> int * float
-(** Pop a PD id: [(id, latency_ns)]. *)
+val alloc : t -> memsys:Jord_arch.Memsys.t -> core:int -> int
+(** Pop a PD id; {!alloc_ns} is this call's latency. *)
+
+val alloc_ns : t -> float
+(** Latency of the last {!alloc}. *)
 
 val free : t -> memsys:Jord_arch.Memsys.t -> core:int -> int -> float
 (** Release a PD.
