@@ -44,9 +44,10 @@ let micro ~quick =
   (* Pre-populated structures shared by the lookup benchmarks. *)
   let plain = Jord_vm.Vma_table.create cfg in
   let btree = Jord_vm.Vma_btree.create () in
+  let fp = Jord_vm.Footprint.create () in
   for i = 0 to 999 do
     ignore (Jord_vm.Vma_table.insert plain (mk_vte i));
-    ignore (Jord_vm.Vma_btree.insert btree (mk_vte i))
+    Jord_vm.Vma_btree.insert btree fp (mk_vte i)
   done;
   let probe = Jord_vm.Vte.base (mk_vte 500) + 64 in
   let vlb = Jord_vm.Vlb.create ~entries:16 in
@@ -80,7 +81,7 @@ let micro ~quick =
       Test.make ~name:"plain-list lookup"
         (Staged.stage (fun () -> ignore (Jord_vm.Vma_table.lookup plain ~va:probe)));
       Test.make ~name:"b-tree lookup"
-        (Staged.stage (fun () -> ignore (Jord_vm.Vma_btree.lookup btree ~va:probe)));
+        (Staged.stage (fun () -> ignore (Jord_vm.Vma_btree.lookup btree fp ~va:probe)));
       Test.make ~name:"vlb lookup"
         (Staged.stage (fun () ->
              ignore (Jord_vm.Vlb.lookup vlb ~va:(Jord_vm.Vte.base (mk_vte 7) + 5))));
