@@ -1,4 +1,13 @@
-type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64; mutable s3 : int64 }
+(* xoshiro256** over a 32-byte state: words s0..s3 at byte offsets 0, 8, 16
+   and 24, read and written as unboxed int64s. Every store into a mutable
+   int64 record field would box a fresh value, and under -opaque each draw
+   is a real call into this module. So the one step [next] is inlined into
+   each entry point, and only a raw [bits64] result and [float]'s return
+   value are boxed. *)
+type t = Bytes.t
+
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 (* SplitMix64 step, used for seeding and for [split]. *)
 let splitmix64 state =
@@ -9,47 +18,49 @@ let splitmix64 state =
   let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
   logxor z (shift_right_logical z 31)
 
-let create ~seed =
-  let state = ref (Int64.of_int seed) in
-  let s0 = splitmix64 state in
-  let s1 = splitmix64 state in
-  let s2 = splitmix64 state in
-  let s3 = splitmix64 state in
-  { s0; s1; s2; s3 }
+let of_splitmix seed =
+  let state = ref seed in
+  let t = Bytes.create 32 in
+  for i = 0 to 3 do
+    set64 t (8 * i) (splitmix64 state)
+  done;
+  t
 
-let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
+let create ~seed = of_splitmix (Int64.of_int seed)
+let copy = Bytes.copy
 
-let rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
+let[@inline] rotl x k =
+  Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
-let bits64 t =
+let[@inline] next t =
   let open Int64 in
-  let result = mul (rotl (mul t.s1 5L) 7) 9L in
-  let tmp = shift_left t.s1 17 in
-  t.s2 <- logxor t.s2 t.s0;
-  t.s3 <- logxor t.s3 t.s1;
-  t.s1 <- logxor t.s1 t.s2;
-  t.s0 <- logxor t.s0 t.s3;
-  t.s2 <- logxor t.s2 tmp;
-  t.s3 <- rotl t.s3 45;
+  let s0 = get64 t 0 and s1 = get64 t 8 and s2 = get64 t 16 and s3 = get64 t 24 in
+  let result = mul (rotl (mul s1 5L) 7) 9L in
+  let tmp = shift_left s1 17 in
+  let s2 = logxor s2 s0 in
+  let s3 = logxor s3 s1 in
+  let s1 = logxor s1 s2 in
+  let s0 = logxor s0 s3 in
+  let s2 = logxor s2 tmp in
+  let s3 = rotl s3 45 in
+  set64 t 0 s0;
+  set64 t 8 s1;
+  set64 t 16 s2;
+  set64 t 24 s3;
   result
 
-let split t =
-  let state = ref (bits64 t) in
-  let s0 = splitmix64 state in
-  let s1 = splitmix64 state in
-  let s2 = splitmix64 state in
-  let s3 = splitmix64 state in
-  { s0; s1; s2; s3 }
+let bits64 t = next t
+let split t = of_splitmix (next t)
 
 let int t bound =
   if bound <= 0 then invalid_arg "Prng.int";
   (* Keep 62 bits so the value stays non-negative in OCaml's 63-bit int. *)
-  let v = Int64.to_int (Int64.shift_right_logical (bits64 t) 2) in
+  let v = Int64.to_int (Int64.shift_right_logical (next t) 2) in
   v mod bound
 
 let float t bound =
   (* 53 uniform mantissa bits. *)
-  let v = Int64.to_int (Int64.shift_right_logical (bits64 t) 11) in
+  let v = Int64.to_int (Int64.shift_right_logical (next t) 11) in
   float_of_int v /. 9007199254740992.0 *. bound
 
-let bool t = Int64.logand (bits64 t) 1L = 1L
+let bool t = Int64.logand (next t) 1L = 1L
