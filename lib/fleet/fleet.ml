@@ -49,11 +49,12 @@ type t = {
   sharded : sharded option;
   engine : Engine.t;  (* the balancer's engine (shard 0 when sharded) *)
   members : Fserver.t array;
-  state : lifecycle array;
+  state : lifecycle array;  (* written through [set_state] only *)
+  routable : bool array;  (* state = Up, the balancer's view of [state] *)
   outstanding : int array;
   mutable outstanding_total : int;
   lb : Lb.t;
-  mutable view : Lb.view option;
+  view : Lb.view;  (* [routable] and [outstanding], read by [Lb.pick] *)
   autoscale : (Autoscaler.spec * Autoscaler.ctl) option;
   registry : Registry.t;
   latency : Sketch.t;
@@ -174,8 +175,12 @@ let record_span t ~tracer ~req ~user ~entry ~server ~hit ~outcome ~submit_ps
   Jord_obsv.Ftrace.record tracer ?keep sp;
   req
 
+let set_state t s st =
+  t.state.(s) <- st;
+  t.routable.(s) <- st = Up
+
 let finish_drain t s =
-  t.state.(s) <- Down;
+  set_state t s Down;
   Lb.forget t.lb s
 
 let complete t ~server ~entry ~submit_ps ~req ~user ~hit ~ok ~queue_ps ~cold_ps
@@ -219,32 +224,34 @@ let route t ~user =
   t.arrivals <- t.arrivals + 1;
   let entry = entry_of_user t ~user in
   let now = Engine.now t.engine in
-  let view = match t.view with Some v -> v | None -> assert false in
-  match Lb.pick t.lb view ~entry with
-  | None ->
-      t.lb_shed <- t.lb_shed + 1;
-      (match t.tracer with
-      | None -> ()
-      | Some tracer ->
-          ignore
-            (record_span t ~tracer ~req ~user ~entry ~server:(-1) ~hit:false
-               ~outcome:Jord_obsv.Fspan.Shed_lb ~submit_ps:now ~end_ps:now
-               ~queue_ps:0 ~cold_ps:0 ~service_ps:0
-              : int));
-      observe_rollup t ~at_ps:now ~entry ~latency_ps:0 ~shed:true ~trace_id:(-1)
-  | Some (s, hit) ->
-      if hit then t.affinity_hits <- t.affinity_hits + 1;
-      t.routed <- t.routed + 1;
-      t.outstanding.(s) <- t.outstanding.(s) + 1;
-      t.outstanding_total <- t.outstanding_total + 1;
-      let ow = one_way t in
-      to_server t ~server:s ~at:(Time.( + ) now ow) (fun seng ->
-          Fserver.deliver t.members.(s) ~entry
-            ~on_done:(fun ~ok ~queue_ps ~cold_ps ~service_ps ->
-              let at = Time.( + ) (Engine.now seng) ow in
-              to_lb t ~server:s ~at (fun _ ->
-                  complete t ~server:s ~entry ~submit_ps:now ~req ~user ~hit ~ok
-                    ~queue_ps ~cold_ps ~service_ps)))
+  let s = Lb.pick t.lb t.view ~entry in
+  if s < 0 then begin
+    t.lb_shed <- t.lb_shed + 1;
+    (match t.tracer with
+    | None -> ()
+    | Some tracer ->
+        ignore
+          (record_span t ~tracer ~req ~user ~entry ~server:(-1) ~hit:false
+             ~outcome:Jord_obsv.Fspan.Shed_lb ~submit_ps:now ~end_ps:now
+             ~queue_ps:0 ~cold_ps:0 ~service_ps:0
+            : int));
+    observe_rollup t ~at_ps:now ~entry ~latency_ps:0 ~shed:true ~trace_id:(-1)
+  end
+  else begin
+    let hit = Lb.hit t.lb in
+    if hit then t.affinity_hits <- t.affinity_hits + 1;
+    t.routed <- t.routed + 1;
+    t.outstanding.(s) <- t.outstanding.(s) + 1;
+    t.outstanding_total <- t.outstanding_total + 1;
+    let ow = one_way t in
+    to_server t ~server:s ~at:(Time.( + ) now ow) (fun seng ->
+        Fserver.deliver t.members.(s) ~entry
+          ~on_done:(fun ~ok ~queue_ps ~cold_ps ~service_ps ->
+            let at = Time.( + ) (Engine.now seng) ow in
+            to_lb t ~server:s ~at (fun _ ->
+                complete t ~server:s ~entry ~submit_ps:now ~req ~user ~hit ~ok
+                  ~queue_ps ~cold_ps ~service_ps)))
+  end
 
 (* --- autoscaling ------------------------------------------------------- *)
 
@@ -261,7 +268,7 @@ let scale_up t spec k ~util =
   while !added < k && !i < Array.length t.members do
     let s = !i in
     if t.state.(s) = Down then begin
-      t.state.(s) <- Booting;
+      set_state t s Booting;
       t.booting_count <- t.booting_count + 1;
       t.boots <- t.boots + 1;
       incr added;
@@ -272,7 +279,7 @@ let scale_up t spec k ~util =
           Fserver.power_on t.members.(s));
       Engine.schedule t.engine ~after:(Time.of_us spec.Autoscaler.boot_us) (fun _ ->
           if t.state.(s) = Booting then begin
-            t.state.(s) <- Up;
+            set_state t s Up;
             t.booting_count <- t.booting_count - 1;
             t.up_count <- t.up_count + 1;
             if t.up_count > t.up_max then t.up_max <- t.up_count
@@ -300,7 +307,7 @@ let scale_down t k ~util =
   while !drained < k && !i >= 0 do
     let s = !i in
     if t.state.(s) = Up then begin
-      t.state.(s) <- Draining;
+      set_state t s Draining;
       t.up_count <- t.up_count - 1;
       t.drains <- t.drains + 1;
       incr drained;
@@ -432,6 +439,8 @@ let create cfg ~app =
     match autoscale with None -> n | Some (spec, _) -> spec.Autoscaler.min_servers
   in
   let state = Array.init n (fun i -> if i < initial_up then Up else Down) in
+  let routable = Array.map (fun st -> st = Up) state in
+  let outstanding = Array.make n 0 in
   let t =
     {
       cfg;
@@ -441,10 +450,11 @@ let create cfg ~app =
       engine;
       members;
       state;
-      outstanding = Array.make n 0;
+      routable;
+      outstanding;
       outstanding_total = 0;
-      lb = Lb.create cfg.policy;
-      view = None;
+      lb = Lb.create cfg.policy ~servers:n ~entries:(Array.length entries);
+      view = { Lb.routable; outstanding; spill = cfg.member.Fserver.slots };
       autoscale;
       registry = Registry.create ();
       latency = Sketch.create ();
@@ -469,14 +479,6 @@ let create cfg ~app =
       ran = false;
     }
   in
-  t.view <-
-    Some
-      {
-        Lb.n;
-        routable = (fun i -> t.state.(i) = Up);
-        outstanding = (fun i -> t.outstanding.(i));
-        spill = cfg.member.Fserver.slots;
-      };
   register_metrics t;
   t
 

@@ -27,81 +27,120 @@ let to_string = function
   | Affinity -> "affinity"
 
 type view = {
-  n : int;
-  routable : int -> bool;
-  outstanding : int -> int;
+  routable : bool array;
+  outstanding : int array;
   spill : int;
 }
+
+(* One entry's warm servers, an unordered set: ids in [ids.(0 .. count-1)]
+   and a member byte per server id. *)
+type warm = { ids : int array; mutable count : int; member : Bytes.t }
 
 type t = {
   pol : policy;
   mutable rr : int;
-  warm : (int, int list ref) Hashtbl.t;  (* entry -> warm server ids *)
+  mutable hit : bool;
+  warm : warm array;  (* by entry *)
 }
 
-let create pol = { pol; rr = 0; warm = Hashtbl.create 8 }
-let policy t = t.pol
+let create pol ~servers ~entries =
+  {
+    pol;
+    rr = 0;
+    hit = false;
+    warm =
+      Array.init entries (fun _ ->
+          { ids = Array.make servers 0; count = 0; member = Bytes.make servers '\000' });
+  }
 
-(* Lowest id among routable servers with minimal outstanding. *)
+let policy t = t.pol
+let hit t = t.hit
+
+(* Lowest id among routable servers with minimal outstanding, or -1. *)
 let least_outstanding v =
   let best = ref (-1) and best_out = ref max_int in
-  for i = 0 to v.n - 1 do
-    if v.routable i then begin
-      let o = v.outstanding i in
+  for i = 0 to Array.length v.routable - 1 do
+    if v.routable.(i) then begin
+      let o = v.outstanding.(i) in
       if o < !best_out then begin
         best := i;
         best_out := o
       end
     end
   done;
-  if !best < 0 then None else Some !best
+  !best
 
 let round_robin t v =
-  let rec go tries =
-    if tries >= v.n then None
-    else begin
-      let c = t.rr mod v.n in
-      t.rr <- (t.rr + 1) mod v.n;
-      if v.routable c then Some c else go (tries + 1)
-    end
-  in
-  go 0
+  let n = Array.length v.routable in
+  let found = ref (-1) and tries = ref 0 in
+  while !found < 0 && !tries < n do
+    let c = t.rr mod n in
+    t.rr <- (t.rr + 1) mod n;
+    if v.routable.(c) then found := c;
+    incr tries
+  done;
+  !found
 
-let warm_list t entry =
-  match Hashtbl.find_opt t.warm entry with
-  | Some l -> l
-  | None ->
-      let l = ref [] in
-      Hashtbl.add t.warm entry l;
-      l
+(* Swap the last member into slot [i]. *)
+let remove_at w i =
+  Bytes.set w.member w.ids.(i) '\000';
+  w.count <- w.count - 1;
+  w.ids.(i) <- w.ids.(w.count)
+
+let add w s =
+  if Bytes.get w.member s = '\000' then begin
+    Bytes.set w.member s '\001';
+    w.ids.(w.count) <- s;
+    w.count <- w.count + 1
+  end
+
+(* The warm member with the least outstanding, lowest id on ties, or -1.
+   Members that stopped being routable (drained or down) leave the set. *)
+let best_warm w v =
+  let best = ref (-1) and best_out = ref max_int in
+  let i = ref 0 in
+  while !i < w.count do
+    let s = w.ids.(!i) in
+    if v.routable.(s) then begin
+      let o = v.outstanding.(s) in
+      if o < !best_out || (o = !best_out && s < !best) then begin
+        best := s;
+        best_out := o
+      end;
+      incr i
+    end
+    else remove_at w !i
+  done;
+  !best
 
 let pick t v ~entry =
+  t.hit <- false;
   match t.pol with
-  | Round_robin -> Option.map (fun s -> (s, false)) (round_robin t v)
-  | Least_outstanding -> Option.map (fun s -> (s, false)) (least_outstanding v)
-  | Affinity -> (
-      let l = warm_list t entry in
-      (* Drop servers that stopped being routable (drained or down). *)
-      l := List.filter v.routable !l;
-      let best_warm =
-        List.fold_left
-          (fun acc s ->
-            match acc with
-            | Some b when v.outstanding b < v.outstanding s -> acc
-            | Some b when v.outstanding b = v.outstanding s && b < s -> acc
-            | _ -> Some s)
-          None !l
-      in
-      match best_warm with
-      | Some s when v.outstanding s < v.spill -> Some (s, true)
-      | _ -> (
-          (* Spill: open the entry on the least-loaded server and remember
-             the new warm route. *)
-          match least_outstanding v with
-          | None -> None
-          | Some s ->
-              if not (List.mem s !l) then l := s :: !l;
-              Some (s, false)))
+  | Round_robin -> round_robin t v
+  | Least_outstanding -> least_outstanding v
+  | Affinity ->
+      let w = t.warm.(entry) in
+      let b = best_warm w v in
+      if b >= 0 && v.outstanding.(b) < v.spill then begin
+        t.hit <- true;
+        b
+      end
+      else begin
+        (* Spill: open the entry on the least-loaded server and remember
+           the new warm route. *)
+        let s = least_outstanding v in
+        if s >= 0 then add w s;
+        s
+      end
 
 let forget t sid =
-  Hashtbl.iter (fun _ l -> l := List.filter (fun s -> s <> sid) !l) t.warm
+  Array.iter
+    (fun w ->
+      if Bytes.get w.member sid <> '\000' then begin
+        let i = ref 0 in
+        while w.ids.(!i) <> sid do
+          incr i
+        done;
+        remove_at w !i
+      end)
+    t.warm

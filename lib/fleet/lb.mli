@@ -25,21 +25,28 @@ val to_string : policy -> string
 val names : string list
 
 type view = {
-  n : int;  (** Fleet size; server ids are [0 .. n-1]. *)
-  routable : int -> bool;  (** Up and not draining. *)
-  outstanding : int -> int;  (** LB-side in-flight count. *)
+  routable : bool array;
+      (** Up and not draining, by server id; the fleet size is its
+          length. *)
+  outstanding : int array;  (** LB-side in-flight count, by server id. *)
   spill : int;  (** Affinity spill threshold (e.g. the slot count). *)
 }
+(** The fleet's own arrays, read in place on every pick. *)
 
 type t
 
-val create : policy -> t
+val create : policy -> servers:int -> entries:int -> t
+(** A balancer for server ids [0 .. servers-1] and entry ids
+    [0 .. entries-1]. *)
+
 val policy : t -> policy
 
-val pick : t -> view -> entry:int -> (int * bool) option
-(** Choose a server for a request to [entry], or [None] when no server is
-    routable. The flag is [true] when an affinity warm route was used.
-    [Affinity] records the chosen server as warm for [entry]. *)
+val pick : t -> view -> entry:int -> int
+(** Choose a server for a request to [entry], or -1 when no server is
+    routable. [Affinity] records the chosen server as warm for [entry]. *)
+
+val hit : t -> bool
+(** Whether the last [pick] used an affinity warm route. *)
 
 val forget : t -> int -> unit
 (** Drop a server from every warm route (it lost its warm state: drained

@@ -16,55 +16,202 @@ let check_int = Alcotest.(check int)
 (* --- Lb --- *)
 
 let mk_view ?(routable = fun _ -> true) ~outstanding ~n ~spill () =
-  { Lb.n; routable; outstanding = (fun i -> outstanding.(i)); spill }
+  { Lb.routable = Array.init n routable; outstanding; spill }
+
+let pick_hit lb v ~entry =
+  let s = Lb.pick lb v ~entry in
+  (s, Lb.hit lb)
 
 let test_lb_round_robin () =
-  let lb = Lb.create Lb.Round_robin in
+  let lb = Lb.create Lb.Round_robin ~servers:3 ~entries:1 in
   let v = mk_view ~outstanding:[| 0; 0; 0 |] ~n:3 ~spill:4 () in
-  let picks = List.init 6 (fun _ -> fst (Option.get (Lb.pick lb v ~entry:0))) in
+  let picks = List.init 6 (fun _ -> Lb.pick lb v ~entry:0) in
   check "cycles" true (picks = [ 0; 1; 2; 0; 1; 2 ]);
   let v =
     mk_view ~routable:(fun i -> i <> 1) ~outstanding:[| 0; 0; 0 |] ~n:3 ~spill:4 ()
   in
-  let picks = List.init 4 (fun _ -> fst (Option.get (Lb.pick lb v ~entry:0))) in
+  let picks = List.init 4 (fun _ -> Lb.pick lb v ~entry:0) in
   check "skips unroutable" true (List.for_all (fun p -> p <> 1) picks)
 
 let test_lb_least_outstanding () =
-  let lb = Lb.create Lb.Least_outstanding in
+  let lb = Lb.create Lb.Least_outstanding ~servers:4 ~entries:1 in
   let out = [| 3; 1; 1; 5 |] in
   let v = mk_view ~outstanding:out ~n:4 ~spill:4 () in
-  check_int "min wins, lowest id ties" 1 (fst (Option.get (Lb.pick lb v ~entry:0)));
+  check_int "min wins, lowest id ties" 1 (Lb.pick lb v ~entry:0);
   let v = mk_view ~routable:(fun _ -> false) ~outstanding:out ~n:4 ~spill:4 () in
-  check "none routable" true (Lb.pick lb v ~entry:0 = None)
+  check "none routable" true (Lb.pick lb v ~entry:0 = -1)
 
 let test_lb_affinity () =
-  let lb = Lb.create Lb.Affinity in
+  let lb = Lb.create Lb.Affinity ~servers:3 ~entries:9 in
   let out = [| 0; 0; 0 |] in
   let v = mk_view ~outstanding:out ~n:3 ~spill:2 () in
   (* First route opens the entry on the least-outstanding server (0). *)
-  let s0, hit0 = Option.get (Lb.pick lb v ~entry:7) in
+  let s0, hit0 = pick_hit lb v ~entry:7 in
   check "first is a cold route" true ((s0, hit0) = (0, false));
   out.(0) <- 1;
   (* Below the spill threshold the warm server keeps winning. *)
-  let s1, hit1 = Option.get (Lb.pick lb v ~entry:7) in
+  let s1, hit1 = pick_hit lb v ~entry:7 in
   check "warm hit" true ((s1, hit1) = (0, true));
   out.(0) <- 2;
   (* At the threshold it spills to a fresh server and remembers it. *)
-  let s2, hit2 = Option.get (Lb.pick lb v ~entry:7) in
+  let s2, hit2 = pick_hit lb v ~entry:7 in
   check "spills when saturated" true ((s2, hit2) = (1, false));
   out.(1) <- 1;
-  let s3, hit3 = Option.get (Lb.pick lb v ~entry:7) in
+  let s3, hit3 = pick_hit lb v ~entry:7 in
   check "spilled server is now warm" true ((s3, hit3) = (1, true));
   (* Other entries are unaffected by entry 7's warm set. *)
-  let _, hit4 = Option.get (Lb.pick lb v ~entry:8) in
+  let _, hit4 = pick_hit lb v ~entry:8 in
   check "separate entries separate warmth" true (hit4 = false);
   (* Forgetting a server drops its warm routes. *)
   Lb.forget lb 0;
   out.(0) <- 0;
   out.(1) <- 0;
-  let s5, hit5 = Option.get (Lb.pick lb v ~entry:7) in
+  let s5, hit5 = pick_hit lb v ~entry:7 in
   check "forgotten server no longer warm-preferred" true ((s5, hit5) = (1, true));
   ignore s5
+
+(* The model: the balancer as a view of closures and warm routes as one
+   list per entry in a Hashtbl, rebuilt on every affinity pick. *)
+module Lb_model = struct
+  type view = { n : int; routable : int -> bool; outstanding : int -> int; spill : int }
+  type t = { pol : Lb.policy; mutable rr : int; warm : (int, int list ref) Hashtbl.t }
+
+  let create pol = { pol; rr = 0; warm = Hashtbl.create 8 }
+
+  let least_outstanding v =
+    let best = ref (-1) and best_out = ref max_int in
+    for i = 0 to v.n - 1 do
+      if v.routable i then begin
+        let o = v.outstanding i in
+        if o < !best_out then begin
+          best := i;
+          best_out := o
+        end
+      end
+    done;
+    if !best < 0 then None else Some !best
+
+  let round_robin t v =
+    let rec go tries =
+      if tries >= v.n then None
+      else begin
+        let c = t.rr mod v.n in
+        t.rr <- (t.rr + 1) mod v.n;
+        if v.routable c then Some c else go (tries + 1)
+      end
+    in
+    go 0
+
+  let warm_list t entry =
+    match Hashtbl.find_opt t.warm entry with
+    | Some l -> l
+    | None ->
+        let l = ref [] in
+        Hashtbl.add t.warm entry l;
+        l
+
+  let pick t v ~entry =
+    match t.pol with
+    | Lb.Round_robin -> Option.map (fun s -> (s, false)) (round_robin t v)
+    | Lb.Least_outstanding -> Option.map (fun s -> (s, false)) (least_outstanding v)
+    | Lb.Affinity -> (
+        let l = warm_list t entry in
+        l := List.filter v.routable !l;
+        let best_warm =
+          List.fold_left
+            (fun acc s ->
+              match acc with
+              | Some b when v.outstanding b < v.outstanding s -> acc
+              | Some b when v.outstanding b = v.outstanding s && b < s -> acc
+              | _ -> Some s)
+            None !l
+        in
+        match best_warm with
+        | Some s when v.outstanding s < v.spill -> Some (s, true)
+        | _ -> (
+            match least_outstanding v with
+            | None -> None
+            | Some s ->
+                if not (List.mem s !l) then l := s :: !l;
+                Some (s, false)))
+
+  let forget t sid =
+    Hashtbl.iter (fun _ l -> l := List.filter (fun s -> s <> sid) !l) t.warm
+end
+
+(* A random balancer history. Server operands are taken mod the fleet
+   size; a pick that lands also takes a request in flight, as in Fleet. *)
+type lb_op = Pick of int | Inc of int | Dec of int | Flip of int | Forget of int
+
+let show_lb_op = function
+  | Pick e -> Printf.sprintf "pick %d" e
+  | Inc s -> Printf.sprintf "inc %d" s
+  | Dec s -> Printf.sprintf "dec %d" s
+  | Flip s -> Printf.sprintf "flip %d" s
+  | Forget s -> Printf.sprintf "forget %d" s
+
+let lb_entries = 8
+
+let arb_lb_history =
+  let open QCheck.Gen in
+  let srv = int_bound 255 in
+  let op =
+    frequency
+      [
+        (8, map (fun e -> Pick e) (int_bound (lb_entries - 1)));
+        (3, map (fun s -> Inc s) srv);
+        (4, map (fun s -> Dec s) srv);
+        (2, map (fun s -> Flip s) srv);
+        (1, map (fun s -> Forget s) srv);
+      ]
+  in
+  let pol = oneofl [ Lb.Round_robin; Lb.Least_outstanding; Lb.Affinity ] in
+  let n = oneof [ int_range 1 8; int_range 1 256 ] in
+  QCheck.make
+    ~print:(fun (pol, n, spill, ops) ->
+      Printf.sprintf "%s n=%d spill=%d: %s" (Lb.to_string pol) n spill
+        (String.concat "; " (List.map show_lb_op ops)))
+    (quad pol n (int_range 1 4) (list_size (int_range 1 400) op))
+
+let prop_lb_matches_model =
+  QCheck.Test.make ~name:"lb: array balancer picks what the list model picks" ~count:500
+    arb_lb_history (fun (pol, n, spill, ops) ->
+      let routable = Array.make n true and outstanding = Array.make n 0 in
+      let lb = Lb.create pol ~servers:n ~entries:lb_entries in
+      let v = { Lb.routable; outstanding; spill } in
+      let model = Lb_model.create pol in
+      let mv =
+        {
+          Lb_model.n;
+          routable = (fun i -> routable.(i));
+          outstanding = (fun i -> outstanding.(i));
+          spill;
+        }
+      in
+      List.for_all
+        (fun op ->
+          match op with
+          | Pick entry ->
+              let s = Lb.pick lb v ~entry in
+              let got = if s < 0 then None else Some (s, Lb.hit lb) in
+              let want = Lb_model.pick model mv ~entry in
+              if s >= 0 then outstanding.(s) <- outstanding.(s) + 1;
+              got = want
+          | Inc s ->
+              outstanding.(s mod n) <- outstanding.(s mod n) + 1;
+              true
+          | Dec s ->
+              let s = s mod n in
+              if outstanding.(s) > 0 then outstanding.(s) <- outstanding.(s) - 1;
+              true
+          | Flip s ->
+              routable.(s mod n) <- not routable.(s mod n);
+              true
+          | Forget s ->
+              Lb.forget lb (s mod n);
+              Lb_model.forget model (s mod n);
+              true)
+        ops)
 
 (* --- Autoscaler --- *)
 
@@ -314,6 +461,7 @@ let suite =
     Alcotest.test_case "lb: round robin" `Quick test_lb_round_robin;
     Alcotest.test_case "lb: least outstanding" `Quick test_lb_least_outstanding;
     Alcotest.test_case "lb: affinity warm routes and spill" `Quick test_lb_affinity;
+    QCheck_alcotest.to_alcotest prop_lb_matches_model;
     Alcotest.test_case "autoscaler: hysteresis" `Quick test_autoscaler_hysteresis;
     Alcotest.test_case "autoscaler: spec grammar" `Quick test_autoscaler_spec;
     QCheck_alcotest.to_alcotest prop_autoscaler_fuzz;
