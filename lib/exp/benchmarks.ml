@@ -8,9 +8,9 @@
    Deterministic metrics carry a tight 0.1% tolerance: far above the JSON
    round-trip's %.6g rounding, far below any real behaviour change.
    Allocation metrics get 50%: minor words per op are stable for a given
-   compiler but may shift across OCaml versions. The detailed server's
-   minor words per event get 10%, so that losing a tenth of the
-   allocation-free hot path fails the gate. *)
+   compiler but may shift across OCaml versions. Minor words per event of
+   the detailed server and of the sequential fleet get 10%, so that losing
+   a tenth of the allocation-free hot path fails the gate. *)
 
 module B = Jord_util.Bench_json
 
@@ -396,8 +396,20 @@ let chaos_failover ~quick =
    starts, the latency quantile and the SLO rollup verdicts — compared for
    byte-equality. The signature match is the hard gate (determinism_ok);
    the deterministic counts pin how much the autoscaler and the flash crowd
-   actually do; events/sec and the speedup are host wall-clock, so
-   advisory. --- *)
+   actually do, and minor_words_per_event the allocation of the sequential
+   run (Gc.minor_words counts the calling domain only); events/sec and the
+   speedup are host wall-clock, so advisory. --- *)
+
+type fleet_run = {
+  signature : string;
+  completed : int;
+  cold_starts : int;
+  boots : int;
+  drains : int;
+  events : int;
+  wall_s : float;
+  words : float;
+}
 
 let fleet_scale ~quick =
   let duration_us = if quick then 400.0 else 1200.0 in
@@ -428,8 +440,10 @@ let fleet_scale ~quick =
       }
     in
     let t0 = Unix.gettimeofday () in
+    let w0 = Gc.minor_words () in
     let t = Jord_fleet.Fleet.create cfg ~app:Jord_workloads.Hipster.app in
     Jord_fleet.Fleet.run ~slo t ~shape ~duration_us;
+    let words = Gc.minor_words () -. w0 in
     let wall_s = Unix.gettimeofday () -. t0 in
     let module F = Jord_fleet.Fleet in
     let rollup_sig =
@@ -456,24 +470,24 @@ let fleet_scale ~quick =
         (Jord_telemetry.Sketch.mean (F.latency t))
         rollup_sig
     in
-    ( signature,
-      float_of_int (F.completed t),
-      float_of_int (F.cold_starts t),
-      float_of_int (F.boots t),
-      float_of_int (F.drains t),
-      (F.events_processed t, wall_s) )
+    {
+      signature;
+      completed = F.completed t;
+      cold_starts = F.cold_starts t;
+      boots = F.boots t;
+      drains = F.drains t;
+      events = F.events_processed t;
+      wall_s;
+      words;
+    }
   in
   ignore (run ~shards:4);
   ignore (run ~shards:1);
   let pairs = List.init (reps quick) (fun _ -> (run ~shards:1, run ~shards:4)) in
-  let identical =
-    List.for_all
-      (fun ((sig_seq, _, _, _, _, _), (sig_shd, _, _, _, _, _)) ->
-        sig_seq = sig_shd)
-      pairs
-  in
-  let (_, completed, cold_starts, boots, drains, _), _ = List.hd pairs in
-  let rate_of (events, wall_s) = float_of_int events /. Float.max wall_s 1e-9 in
+  let identical = List.for_all (fun (seq, shd) -> seq.signature = shd.signature) pairs in
+  let seq, _ = List.hd pairs in
+  let rate_of r = float_of_int r.events /. Float.max r.wall_s 1e-9 in
+  let count name unit_ v = B.count ~tolerance:det_tol ~name ~unit_ (float_of_int v) in
   {
     B.experiment = "fleet_scale";
     metrics =
@@ -483,19 +497,17 @@ let fleet_scale ~quick =
            count. *)
         B.count ~tolerance:det_tol ~name:"determinism_ok" ~unit_:"bool"
           (if identical then 1.0 else 0.0);
-        B.count ~tolerance:det_tol ~name:"completed" ~unit_:"requests" completed;
-        B.count ~tolerance:det_tol ~name:"cold_starts" ~unit_:"starts" cold_starts;
-        B.count ~tolerance:det_tol ~name:"boots" ~unit_:"servers" boots;
-        B.count ~tolerance:det_tol ~name:"drains" ~unit_:"servers" drains;
+        count "completed" "requests" seq.completed;
+        count "cold_starts" "starts" seq.cold_starts;
+        count "boots" "servers" seq.boots;
+        count "drains" "servers" seq.drains;
+        words_per_event ~words:seq.words ~events:seq.events;
         B.metric ~name:"events_per_sec_seq" ~unit_:"events/s"
-          (List.map (fun ((_, _, _, _, _, seq), _) -> rate_of seq) pairs);
+          (List.map (fun (seq, _) -> rate_of seq) pairs);
         B.metric ~name:"events_per_sec_sharded" ~unit_:"events/s"
-          (List.map (fun (_, (_, _, _, _, _, shd)) -> rate_of shd) pairs);
+          (List.map (fun (_, shd) -> rate_of shd) pairs);
         B.metric ~name:"sharded_speedup" ~unit_:"ratio"
-          (List.map
-             (fun ((_, _, _, _, _, seq), (_, _, _, _, _, shd)) ->
-               rate_of shd /. Float.max (rate_of seq) 1e-9)
-             pairs);
+          (List.map (fun (seq, shd) -> rate_of shd /. Float.max (rate_of seq) 1e-9) pairs);
       ];
   }
 
