@@ -70,6 +70,25 @@ let test_lb_affinity () =
   check "forgotten server no longer warm-preferred" true ((s5, hit5) = (1, true));
   ignore s5
 
+let test_lb_picks_allocate_nothing () =
+  (* The balancer runs once per fleet request. *)
+  List.iter
+    (fun pol ->
+      let n = 64 in
+      let lb = Lb.create pol ~servers:n ~entries:4 in
+      let v = mk_view ~outstanding:(Array.init n (fun i -> i mod 5)) ~n ~spill:3 () in
+      let acc = ref 0 in
+      let before = Gc.minor_words () in
+      for i = 1 to 10_000 do
+        acc := !acc + Lb.pick lb v ~entry:(i mod 4);
+        if Lb.hit lb then incr acc
+      done;
+      let words = Gc.minor_words () -. before in
+      Alcotest.(check (float 0.0))
+        (Printf.sprintf "%s: minor words for 10k picks (sum %d)" (Lb.to_string pol) !acc)
+        0.0 words)
+    [ Lb.Round_robin; Lb.Least_outstanding; Lb.Affinity ]
+
 (* The model: the balancer as a view of closures and warm routes as one
    list per entry in a Hashtbl, rebuilt on every affinity pick. *)
 module Lb_model = struct
@@ -462,6 +481,7 @@ let suite =
     Alcotest.test_case "lb: least outstanding" `Quick test_lb_least_outstanding;
     Alcotest.test_case "lb: affinity warm routes and spill" `Quick test_lb_affinity;
     QCheck_alcotest.to_alcotest prop_lb_matches_model;
+    Alcotest.test_case "lb: picks allocate nothing" `Quick test_lb_picks_allocate_nothing;
     Alcotest.test_case "autoscaler: hysteresis" `Quick test_autoscaler_hysteresis;
     Alcotest.test_case "autoscaler: spec grammar" `Quick test_autoscaler_spec;
     QCheck_alcotest.to_alcotest prop_autoscaler_fuzz;
