@@ -11,7 +11,6 @@ module Server = Jord_faas.Server
 module Cluster = Jord_faas.Cluster
 module Variant = Jord_faas.Variant
 module Request = Jord_faas.Request
-module Time = Jord_sim.Time
 module Engine = Jord_sim.Engine
 
 let f17 = Printf.sprintf "%.17g"
@@ -99,12 +98,7 @@ let single_server buf variant =
   let server = Server.create config tiny_app in
   let roots = ref [] in
   Server.on_root_complete server (fun r -> roots := r :: !roots);
-  let engine = Server.engine server in
-  for i = 0 to 39 do
-    Engine.schedule_at engine
-      ~time:(Time.of_ns (float_of_int i *. 400.0))
-      (fun _ -> Server.submit server ())
-  done;
+  Jord_workloads.Loadgen.fixed_gaps [| server |] ~arrivals:40 ~gap_ns:400.0;
   Server.run server;
   let lat, ex, iso, disp, comm = root_sums !roots in
   Buffer.add_string buf
@@ -115,7 +109,7 @@ let single_server buf variant =
        (Server.dropped_requests server)
        (Server.dispatch_count server)
        (Server.queue_full_retries server)
-       (Engine.processed engine));
+       (Engine.processed (Server.engine server)));
   Buffer.add_string buf
     (Printf.sprintf "server/%s latency=%s exec=%s isolation=%s dispatch=%s comm=%s\n"
        (Variant.name variant) (f17 lat) (f17 ex) (f17 iso) (f17 disp) (f17 comm));
@@ -123,37 +117,39 @@ let single_server buf variant =
     (Printf.sprintf "server/%s dispatch_ns=%s\n" (Variant.name variant)
        (f17 (Server.dispatch_ns_total server)))
 
-(* Arrivals go through [Cluster.submit_at] (round-robin resolved at
-   schedule time, which for nondecreasing times is exactly the live order)
-   so the very same scenario runs sequentially or sharded: with a fixed
-   seed the two must be byte-identical, and CI diffs --shards 1/2/4
-   golden outputs against each other to prove it. *)
-let cluster_scenario buf ~label ~shards ~servers:n ~arrivals ~gap_ns =
-  let config =
-    {
-      Server.default_config with
-      Server.machine = Jord_arch.Config.with_cores Jord_arch.Config.default 4;
-      orchestrators = 1;
-      queue_capacity = 1;
-    }
-  in
-  let cluster = Cluster.create ~forward_after:2 ~shards ~servers:n ~config fanout_app in
-  let roots = ref [] in
-  Cluster.on_root_complete cluster (fun r -> roots := r :: !roots);
-  for i = 0 to arrivals - 1 do
-    Cluster.submit_at cluster ~time:(Time.of_ns (float_of_int i *. gap_ns)) ()
-  done;
-  Cluster.run cluster;
-  let lat, _, iso, disp, comm = root_sums !roots in
-  Buffer.add_string buf
-    (Printf.sprintf "%s completed=%d events=%d\n" label (List.length !roots)
-       (Cluster.events_processed cluster));
+let cluster_config =
+  {
+    Server.default_config with
+    Server.machine = Jord_arch.Config.with_cores Jord_arch.Config.default 4;
+    orchestrators = 1;
+    queue_capacity = 1;
+  }
+
+let member_lines buf ~label cluster =
   Array.iteri
     (fun i s ->
       Buffer.add_string buf
         (Printf.sprintf "%s server=%d completed=%d out=%d in=%d\n" label i
            (Server.completed_roots s) (Server.forwarded_out s) (Server.received_in s)))
-    (Cluster.servers cluster);
+    (Cluster.servers cluster)
+
+(* Fixed gaps through the load generator's per-engine sources, so the very
+   same scenario runs sequentially or sharded: with a fixed seed the two
+   must be byte-identical, and CI diffs --shards 1/2/4/8 golden outputs
+   against each other to prove it. *)
+let cluster_scenario buf ~label ~shards ~servers:n ~arrivals ~gap_ns =
+  let cluster =
+    Cluster.create ~forward_after:2 ~shards ~servers:n ~config:cluster_config fanout_app
+  in
+  let roots = ref [] in
+  Cluster.on_root_complete cluster (fun r -> roots := r :: !roots);
+  Jord_workloads.Loadgen.fixed_gaps (Cluster.servers cluster) ~arrivals ~gap_ns;
+  Cluster.run cluster;
+  let lat, _, iso, disp, comm = root_sums !roots in
+  Buffer.add_string buf
+    (Printf.sprintf "%s completed=%d events=%d\n" label (List.length !roots)
+       (Cluster.events_processed cluster));
+  member_lines buf ~label cluster;
   Buffer.add_string buf
     (Printf.sprintf "%s latency=%s isolation=%s dispatch=%s comm=%s\n" label (f17 lat)
        (f17 iso) (f17 disp) (f17 comm))
@@ -164,6 +160,21 @@ let cluster buf ~shards = cluster_scenario buf ~label:"cluster" ~shards ~servers
    servers each) and cross-shard forwards dominate the ring. *)
 let cluster6 buf ~shards =
   cluster_scenario buf ~label:"cluster6" ~shards ~servers:6 ~arrivals:180 ~gap_ns:450.0
+
+(* Poisson arrivals at JBSQ bound 1 through [Loadgen.run_cluster], the
+   path jordctl and the benchmark drive, so CI's --shards diffs cover it. *)
+let cluster_poisson buf ~shards =
+  let label = "cluster_poisson" in
+  let cluster, recorder =
+    Jord_workloads.Loadgen.run_cluster ~warmup:50 ~forward_after:1 ~shards ~servers:4
+      ~app:fanout_app ~config:cluster_config ~rate_mrps:2.0 ~duration_us:140.0 ()
+  in
+  let open Jord_metrics.Recorder in
+  Buffer.add_string buf
+    (Printf.sprintf "%s count=%d events=%d forwarded=%d p50=%s p99=%s\n" label
+       (count recorder) (Cluster.events_processed cluster) (Cluster.forwarded cluster)
+       (f17 (p50_us recorder)) (f17 (p99_us recorder)));
+  member_lines buf ~label cluster
 
 let loadgen buf (label, app, variant, rate) =
   let config = { Server.default_config with Server.variant } in
@@ -201,6 +212,7 @@ let scenarios ~shards : (unit -> string) list =
         ("hotel-ni", Jord_workloads.Hotel.app, Variant.Jord_ni, 0.8);
         ("hipster-nightcore", Jord_workloads.Hipster.app, Variant.Nightcore, 0.4);
       ]
+  @ [ in_buf (cluster_poisson ~shards) ]
 
 let report ?(jobs = 1) ?(shards = 1) () =
   let scenarios = scenarios ~shards in

@@ -107,15 +107,14 @@ type sharded = {
 
 type t = {
   engine : Jord_sim.Engine.t;
-      (** Single mode: the shared engine. Sharded: shard 0's engine — the
-          control shard, used for load-generator sentinels and end-of-run
-          timestamps (every shard's [now] agrees at the horizon). *)
+      (** Single mode: the shared engine. Sharded: shard 0's engine, whose
+          clock gives end-of-run timestamps (every shard's [now] agrees at
+          the horizon). *)
   sharded : sharded option;
   servers : Server.t array;
   net : Netmodel.t;
   chaos : chaos option;
   mutable rr : int;
-  mutable last_submit_at : Time.t;
 }
 
 (* --- chaos transport: ack-and-timeout retry over a faulty wire ---
@@ -363,7 +362,6 @@ let create ?(forward_after = 3) ?(shards = 1) ~servers:n ~config app =
       net = config.Server.net;
       chaos;
       rr = 0;
-      last_submit_at = Time.zero;
     }
   in
   (match chaos with
@@ -472,22 +470,10 @@ let set_tracer t tr =
 
 let submit t ?entry () =
   if t.sharded <> None then
-    invalid_arg "Cluster.submit: sharded clusters take arrivals via submit_at";
+    invalid_arg "Cluster.submit: a sharded cluster takes arrivals from Loadgen.run_cluster";
   let server = t.servers.(t.rr mod Array.length t.servers) in
   t.rr <- t.rr + 1;
   Server.submit server ?entry ()
-
-(* Round-robin target picked at schedule time; with nondecreasing [time]s
-   this is the order the arrival events fire in, so it matches what live
-   [submit] calls at those instants would have chosen. *)
-let submit_at t ?entry ~time () =
-  if time < t.last_submit_at then
-    invalid_arg "Cluster.submit_at: submission times must be nondecreasing";
-  t.last_submit_at <- time;
-  let server = t.servers.(t.rr mod Array.length t.servers) in
-  t.rr <- t.rr + 1;
-  Jord_sim.Engine.schedule_at (Server.engine server) ~time (fun _ ->
-      Server.submit server ?entry ())
 
 let on_root_complete t f =
   match t.sharded with

@@ -43,9 +43,9 @@
     travel through the shard mailboxes, so any fault plan replays
     byte-identically at every shard count.
 
-    Sharded mode requires a positive [one_way_ns] and arrivals via
-    {!submit_at} (pre-scheduled, nondecreasing times) rather than live
-    {!submit}. *)
+    Sharded mode requires a positive [one_way_ns], and its arrivals come
+    from [Jord_workloads.Loadgen], which arms each server's share on that
+    server's own engine, rather than from live {!submit}. *)
 
 type net_stats = {
   mutable xfers : int;  (** Transfers started (forwarded requests). *)
@@ -86,9 +86,8 @@ val create :
     empty). *)
 
 val engine : t -> Jord_sim.Engine.t
-(** The shared engine ([shards = 1]) or shard 0's engine — the control
-    shard, used for load-generator sentinels; at the end of a horizon run
-    every shard's clock agrees with it. *)
+(** The shared engine ([shards = 1]) or shard 0's engine; at the end of a
+    horizon run every shard's clock agrees with it. *)
 
 val servers : t -> Server.t array
 
@@ -106,15 +105,8 @@ val set_tracer : t -> Trace.t option -> unit
 val submit : t -> ?entry:string -> unit -> unit
 (** Round-robin external submission at the current simulated time. Raises
     [Invalid_argument] on a sharded cluster (live submission would read
-    one shard's clock mid-epoch) — use {!submit_at}. *)
-
-val submit_at : t -> ?entry:string -> time:Jord_sim.Time.t -> unit -> unit
-(** Round-robin external submission at absolute simulated [time]
-    (scheduled on the chosen server's engine; works in both modes).
-    Successive calls must use nondecreasing times — that makes the
-    schedule-time round-robin choice identical to what live {!submit}
-    calls at those instants would pick — or [Invalid_argument] is
-    raised. *)
+    one shard's clock mid-epoch): its arrivals come from
+    [Jord_workloads.Loadgen.run_cluster]. *)
 
 val on_root_complete : t -> (Request.root -> unit) -> unit
 (** Install the completion callback on every server. On a sharded cluster

@@ -624,6 +624,7 @@ and finish_cont ctx e (cont : t Continuation.t) engine =
          or a shard-mailbox post when the home server lives on another
          shard — [resp >= Netmodel.one_way] keeps the lookahead contract. *)
       let deliver eng =
+        Engine.set_sid eng req.Request.home_sid;
         Request.settle_acct req;
         f eng notify_lat
       in

@@ -152,7 +152,10 @@ let utilization t =
     ( !orch_sum /. now_ps /. float_of_int (Array.length t.orchs),
       !exec_sum /. now_ps /. float_of_int (Array.length t.all_execs) )
 
+(* Both entry points may run inside another entity's event (an arrival, a
+   peer's wire delivery): from here on the engine acts for this server. *)
 let receive_forwarded t req =
+  Engine.set_sid t.ctx.Executor.engine t.ctx.Executor.sid;
   t.ctx.Executor.received_in <- t.ctx.Executor.received_in + 1;
   let orch = t.orchs.(req.Request.id mod Array.length t.orchs) in
   Orchestrator.internal_arrival t.ctx orch req t.ctx.Executor.engine
@@ -284,6 +287,7 @@ let create ?engine cfg app =
 
 let submit t ?entry () =
   let ctx = t.ctx in
+  Engine.set_sid ctx.Executor.engine ctx.Executor.sid;
   t.arrivals <- t.arrivals + 1;
   let entry =
     match entry with

@@ -1,6 +1,7 @@
 type t = {
   queue : (t -> unit) Event_queue.t;
   mutable now : Time.t;
+  mutable sid : int;  (** Whom the running event acts for; keys its schedules. *)
   mutable processed : int;
   mutable cancelled : int;
 }
@@ -8,16 +9,23 @@ type t = {
 type handle = Event_queue.handle
 
 let none_handle = Event_queue.none_handle
-let create () = { queue = Event_queue.create (); now = Time.zero; processed = 0; cancelled = 0 }
+let create () =
+  { queue = Event_queue.create (); now = Time.zero; sid = 0; processed = 0; cancelled = 0 }
+
 let now t = t.now
+let set_sid t sid = t.sid <- sid
 
 let schedule_at_handle t ~time f =
   if time < t.now then invalid_arg "Engine.schedule_at: time in the past";
-  Event_queue.push t.queue ~time f
+  Event_queue.push_from t.queue ~time ~sched:t.now ~src:t.sid f
 
 let schedule_handle t ~after f =
   if after < 0 then invalid_arg "Engine.schedule: negative delay";
-  Event_queue.push t.queue ~time:Time.(t.now + after) f
+  Event_queue.push_from t.queue ~time:Time.(t.now + after) ~sched:t.now ~src:t.sid f
+
+let schedule_posted t ~time ~posted_at ~sid f =
+  if time < t.now then invalid_arg "Engine.schedule_posted: time in the past";
+  ignore (Event_queue.push_from t.queue ~time ~sched:posted_at ~src:sid f : handle)
 
 let schedule_arrival_at t ~time f =
   if time < t.now then invalid_arg "Engine.schedule_arrival_at: time in the past";
@@ -33,7 +41,7 @@ let cancel t h =
 
 let reschedule t h ~time =
   if time < t.now then invalid_arg "Engine.reschedule: time in the past";
-  Event_queue.reschedule t.queue h ~time
+  Event_queue.reschedule_from t.queue h ~time ~sched:t.now ~src:t.sid
 
 let pending_handle t h = Event_queue.holds t.queue h
 
@@ -41,6 +49,7 @@ let step t =
   if Event_queue.is_empty t.queue then false
   else begin
     let time = Event_queue.min_time_exn t.queue in
+    t.sid <- Event_queue.min_src_exn t.queue;
     let f = Event_queue.pop_exn t.queue in
     t.now <- time;
     t.processed <- t.processed + 1;

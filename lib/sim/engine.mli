@@ -1,9 +1,17 @@
 (** Discrete-event simulation engine.
 
     Entities schedule closures at absolute or relative simulated times; the
-    engine runs them in timestamp order (FIFO among equal timestamps, except
-    that {!schedule_arrival_at} events go first). Time only advances between
-    events, so a callback observes a consistent [now].
+    engine runs them in timestamp order. Time only advances between events,
+    so a callback observes a consistent [now].
+
+    Equal timestamps go by a canonical key: {!schedule_arrival_at} events
+    first, then the rest by the instant they were scheduled at, then by the
+    id of the entity they were scheduled for ({!set_sid}; a cluster's
+    server id, 0 wherever nobody sets one), then FIFO. With a single entity
+    that is plain FIFO. The key depends only on what each entity scheduled
+    and when, never on how entities interleave, so a cluster's servers see
+    the same event order on one shared engine as on one engine per shard
+    ({!schedule_posted}).
 
     Scheduling is allocation-free in the engine itself: the event heap
     stores closures in recycled slots (see {!Event_queue}), so hot loops
@@ -25,6 +33,13 @@ val create : unit -> t
 val now : t -> Time.t
 (** Current simulated time. *)
 
+val set_sid : t -> int -> unit
+(** Declare whom the running callback acts for: the events it schedules
+    from now on are keyed with [sid] (in [0, 2{^20})). Each event starts
+    out acting for the entity it was scheduled for; a callback that crosses
+    over to another entity — a request delivered to another server — sets
+    that entity's id before scheduling anything. *)
+
 val schedule : t -> after:Time.t -> (t -> unit) -> unit
 (** [schedule t ~after f] runs [f] at [now t + after]. [after] must be
     non-negative. *)
@@ -40,6 +55,13 @@ val schedule_arrival_at : t -> time:Time.t -> (t -> unit) -> unit
     whole stream before anything else. No handle: arrivals are neither
     cancelled nor moved. *)
 
+val schedule_posted :
+  t -> time:Time.t -> posted_at:Time.t -> sid:int -> (t -> unit) -> unit
+(** As {!schedule_at}, keyed as if entity [sid] had scheduled it at instant
+    [posted_at] on this engine: how {!Epoch} delivers a message posted on
+    another shard so that it sorts exactly where a shared engine would have
+    put it. *)
+
 val schedule_handle : t -> after:Time.t -> (t -> unit) -> handle
 val schedule_at_handle : t -> time:Time.t -> (t -> unit) -> handle
 (** As {!schedule} / {!schedule_at}, returning a handle for {!cancel} /
@@ -51,8 +73,9 @@ val cancel : t -> handle -> bool
 
 val reschedule : t -> handle -> time:Time.t -> bool
 (** Move a pending event to absolute [time >= now], keeping its handle
-    valid; it fires after every event already queued for the new instant,
-    as a fresh {!schedule_at} would. [false] on a stale handle. *)
+    valid; it is keyed as a fresh {!schedule_at} would be (with one entity:
+    after every event already queued for the new instant). [false] on a
+    stale handle. *)
 
 val pending_handle : t -> handle -> bool
 (** Is this handle's event still queued? *)

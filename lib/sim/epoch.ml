@@ -65,7 +65,7 @@ let drain t =
       let dst = Shard.engine t.shards.(d) in
       for i = 0 to !len - 1 do
         let m = t.scratch.(i) in
-        Engine.schedule_at dst ~time:m.at m.fn
+        Engine.schedule_posted dst ~time:m.at ~posted_at:m.posted_at ~sid:m.sid m.fn
       done;
       total := !total + !len
     end

@@ -11,9 +11,11 @@
     and the schedule is identical whatever the runner's interleaving.
 
     Determinism of barrier delivery: messages drain into a destination in
-    ascending [(timestamp, sid, posting order)], and same-timestamp events
-    in an engine fire in insertion order, so the merged schedule is a pure
-    function of the posted messages. *)
+    ascending [(timestamp, sid, posting order)], each keyed as if its
+    sender had scheduled it there at the post instant
+    ({!Engine.schedule_posted}), so the merged schedule is a pure function
+    of the posted messages and a delivery sorts among the destination's
+    same-time events where one shared engine would put it. *)
 
 type t
 

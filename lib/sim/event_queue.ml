@@ -1,16 +1,19 @@
-(* Indexed binary min-heap over (time, seq) with stable handles.
+(* Indexed binary min-heap over (time, sched, seq) with stable handles.
 
-   The heap is a structure of arrays — times, seqs and slot ids in parallel
-   int arrays — so pushing an event allocates nothing once the backing
-   arrays are warm. Payloads live in a side table indexed by slot id; a
-   handle packs the slot id with the slot's generation so a handle held
-   across the event's pop (or a cancel) goes stale instead of touching a
-   recycled slot. pos_of maps slot id -> current heap position, which is
+   The heap is a structure of arrays — times, scheds, seqs and slot ids in
+   parallel int arrays — so pushing an event allocates nothing once the
+   backing arrays are warm. Payloads live in a side table indexed by slot
+   id; a handle packs the slot id with the slot's generation so a handle
+   held across the event's pop (or a cancel) goes stale instead of touching
+   a recycled slot. pos_of maps slot id -> current heap position, which is
    what makes cancel and reschedule O(log n) instead of a scan.
 
-   Arrival-lane events draw their seq from a second counter that starts at
-   min_int, so they sort ahead of every normally pushed event (seq >= 0) at
-   the same time and in FIFO order among themselves. *)
+   [sched] is the instant the event was scheduled at and [seq] packs its
+   source id above a push counter, so same-time events go by scheduling
+   instant, then source, then push order. A queue fed in time order by one
+   source is therefore plain FIFO among equal times. Arrival-lane events
+   carry [sched = min_int], so they sort ahead of every other event at the
+   same time and in FIFO order among themselves. *)
 
 type handle = int
 
@@ -18,9 +21,15 @@ let slot_bits = 24
 let slot_mask = (1 lsl slot_bits) - 1
 let none_handle = -1
 
+(* seq = src lsl counter_bits lor counter: 2^20 sources, 2^42 pushes. *)
+let counter_bits = 42
+let max_src = (1 lsl (62 - counter_bits)) - 1
+
 type 'a t = {
-  (* Heap order: position i holds (times.(i), seqs.(i), slots.(i)). *)
+  (* Heap order: position i holds (times.(i), scheds.(i), seqs.(i),
+     slots.(i)). *)
   mutable times : int array;
+  mutable scheds : int array;
   mutable seqs : int array;
   mutable slots : int array;
   mutable size : int;
@@ -39,11 +48,12 @@ type 'a t = {
 let create () =
   {
     times = [||];
+    scheds = [||];
     seqs = [||];
     slots = [||];
     size = 0;
     next_seq = 0;
-    next_arrival_seq = min_int;
+    next_arrival_seq = 0;
     payloads = [||];
     gens = [||];
     pos_of = [||];
@@ -57,20 +67,26 @@ let is_empty t = t.size = 0
 let length t = t.size
 
 let less t i j =
-  t.times.(i) < t.times.(j) || (t.times.(i) = t.times.(j) && t.seqs.(i) < t.seqs.(j))
+  t.times.(i) < t.times.(j)
+  || t.times.(i) = t.times.(j)
+     && (t.scheds.(i) < t.scheds.(j)
+        || (t.scheds.(i) = t.scheds.(j) && t.seqs.(i) < t.seqs.(j)))
 
 (* Overwrite heap position [dst] with the entry at [src]. *)
 let move t ~src ~dst =
   t.times.(dst) <- t.times.(src);
+  t.scheds.(dst) <- t.scheds.(src);
   t.seqs.(dst) <- t.seqs.(src);
   let s = t.slots.(src) in
   t.slots.(dst) <- s;
   t.pos_of.(s) <- dst
 
 let swap t i j =
-  let time = t.times.(i) and seq = t.seqs.(i) and slot = t.slots.(i) in
+  let time = t.times.(i) and sched = t.scheds.(i) and seq = t.seqs.(i) in
+  let slot = t.slots.(i) in
   move t ~src:j ~dst:i;
   t.times.(j) <- time;
+  t.scheds.(j) <- sched;
   t.seqs.(j) <- seq;
   t.slots.(j) <- slot;
   t.pos_of.(slot) <- j
@@ -104,6 +120,7 @@ let ensure_heap_capacity t =
   if t.size = cap then begin
     let ncap = Int.max 16 (cap * 2) in
     t.times <- grow_int_array t.times ncap;
+    t.scheds <- grow_int_array t.scheds ncap;
     t.seqs <- grow_int_array t.seqs ncap;
     t.slots <- grow_int_array t.slots ncap
   end
@@ -145,28 +162,37 @@ let free_slot t s =
   t.free.(t.free_top) <- s;
   t.free_top <- t.free_top + 1
 
-let push_seq t ~time ~seq v =
+let push_seq t ~time ~sched ~seq v =
   if t.dummy = None then t.dummy <- Some v;
   ensure_heap_capacity t;
   let s = alloc_slot t v in
   let i = t.size in
   t.size <- i + 1;
   t.times.(i) <- time;
+  t.scheds.(i) <- sched;
   t.seqs.(i) <- seq;
   t.slots.(i) <- s;
   t.pos_of.(s) <- i;
   sift_up t i;
   s lor (t.gens.(s) lsl slot_bits)
 
-let push t ~time v =
-  let seq = t.next_seq in
-  t.next_seq <- seq + 1;
-  push_seq t ~time ~seq v
+let fresh_seq t ~src =
+  if src < 0 || src > max_src then invalid_arg "Event_queue: src out of range";
+  let n = t.next_seq in
+  t.next_seq <- n + 1;
+  (src lsl counter_bits) lor n
+
+let push_from t ~time ~sched ~src v = push_seq t ~time ~sched ~seq:(fresh_seq t ~src) v
+let push t ~time v = push_from t ~time ~sched:0 ~src:0 v
 
 let push_arrival t ~time v =
   let seq = t.next_arrival_seq in
   t.next_arrival_seq <- seq + 1;
-  ignore (push_seq t ~time ~seq v : handle)
+  ignore (push_seq t ~time ~sched:min_int ~seq v : handle)
+
+let min_src_exn t =
+  if t.size = 0 then invalid_arg "Event_queue.min_src_exn: empty";
+  t.seqs.(0) lsr counter_bits
 
 let min_time_exn t =
   if t.size = 0 then invalid_arg "Event_queue.min_time_exn: empty";
@@ -223,20 +249,22 @@ let cancel t h =
     true
   end
 
-let reschedule t h ~time =
+let reschedule_from t h ~time ~sched ~src =
   if not (holds t h) then false
   else begin
     let s = h land slot_mask in
     let pos = t.pos_of.(s) in
     t.times.(pos) <- time;
-    (* A fresh seq: a rescheduled event fires after events already queued
-       for the same instant, as if it had just been pushed. *)
-    t.seqs.(pos) <- t.next_seq;
-    t.next_seq <- t.next_seq + 1;
+    (* A fresh key: a rescheduled event sorts as if it had just been
+       pushed. *)
+    t.scheds.(pos) <- sched;
+    t.seqs.(pos) <- fresh_seq t ~src;
     sift_up t pos;
     sift_down t t.pos_of.(s);
     true
   end
+
+let reschedule t h ~time = reschedule_from t h ~time ~sched:0 ~src:0
 
 let clear t =
   for i = 0 to t.size - 1 do
@@ -250,7 +278,7 @@ let clear t =
   t.slots_used <- 0
 
 (* Heap-invariant check for the property tests: every child sorts after its
-   parent under (time, seq), and pos_of is the inverse of slots. *)
+   parent under (time, sched, seq), and pos_of is the inverse of slots. *)
 let invariants_ok t =
   let ok = ref true in
   for i = 1 to t.size - 1 do

@@ -1,12 +1,15 @@
 (** Priority queue of timestamped events: an indexed binary min-heap with
     cancellable, reschedulable handles.
 
-    Ties are broken by insertion order so the simulation is deterministic:
-    two events scheduled for the same instant fire in the order they were
-    scheduled, and the pop sequence depends only on the push sequence, never
-    on the heap's internal shape. The one exception is the arrival lane
-    ({!push_arrival}): at equal times its events fire before every
-    {!push}ed event, whenever either was pushed, and in push order among
+    Ties are broken by a key that depends only on the push sequence, never
+    on the heap's internal shape, so the simulation is deterministic. Each
+    event carries the instant it was scheduled at and the id of the source
+    it was scheduled for ({!push_from}); same-time events fire by that
+    instant, then by source id, then in push order. {!push} is [push_from]
+    at instant 0 for source 0, so with {!push} alone two events for the
+    same instant fire in the order they were pushed. The arrival lane
+    ({!push_arrival}) goes first: at equal times its events fire before
+    every other event, whenever either was pushed, and in push order among
     themselves.
 
     The heap is a structure of parallel [int] arrays, so a push performs no
@@ -32,6 +35,16 @@ val length : 'a t -> int
 
 val push : 'a t -> time:Time.t -> 'a -> handle
 (** Schedule a payload; the handle can later [cancel] or [reschedule] it. *)
+
+val push_from : 'a t -> time:Time.t -> sched:Time.t -> src:int -> 'a -> handle
+(** {!push} with the tie-break key spelled out: scheduled at instant
+    [sched] (nonnegative) for source [src] (in [0, 2{^20})). Among events
+    for the same time, a smaller [sched] fires first, then a smaller
+    [src], then the earlier push. *)
+
+val min_src_exn : 'a t -> int
+(** Source id of the earliest event (0 for arrivals).
+    @raise Invalid_argument when empty. *)
 
 val push_arrival : 'a t -> time:Time.t -> 'a -> unit
 (** Schedule a payload in the arrival lane. It returns no handle: an
@@ -69,6 +82,9 @@ val reschedule : 'a t -> handle -> time:Time.t -> bool
     valid. The event is re-sequenced exactly as if it had been {!push}ed at
     the reschedule point: it fires after every event already queued for the
     new timestamp. [false] if the handle is stale. *)
+
+val reschedule_from : 'a t -> handle -> time:Time.t -> sched:Time.t -> src:int -> bool
+(** {!reschedule} with the key of {!push_from}. *)
 
 val clear : 'a t -> unit
 (** Drop every pending event (their handles all go stale). *)

@@ -1,5 +1,6 @@
 type msg = {
   mutable at : Time.t;
+  mutable posted_at : Time.t;
   mutable sid : int;
   mutable seq : int;
   mutable fn : Engine.t -> unit;
@@ -16,7 +17,7 @@ type t = {
 }
 
 let nop (_ : Engine.t) = ()
-let fresh_msg () = { at = Time.zero; sid = 0; seq = 0; fn = nop }
+let fresh_msg () = { at = Time.zero; posted_at = Time.zero; sid = 0; seq = 0; fn = nop }
 
 let create ~id ~shards ~lookahead =
   if shards <= 0 then invalid_arg "Shard.create: shards must be positive";
@@ -49,6 +50,7 @@ let post t ~dst ~at ~sid fn =
   if ob.len = Array.length ob.slots then grow ob;
   let m = ob.slots.(ob.len) in
   m.at <- at;
+  m.posted_at <- Engine.now t.engine;
   m.sid <- sid;
   m.seq <- t.next_seq;
   m.fn <- fn;

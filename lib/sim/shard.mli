@@ -26,10 +26,14 @@ val lookahead : t -> Time.t
 val post : t -> dst:int -> at:Time.t -> sid:int -> (Engine.t -> unit) -> unit
 (** Queue [fn] for delivery into shard [dst]'s engine at absolute time
     [at]. [sid] is the deterministic tiebreaker among same-timestamp
-    messages (callers use the source server id, which is unique
-    across shards). Raises [Invalid_argument] if [at - now < lookahead] (a
-    conservative-synchronization violation) or if [dst] is this shard
-    (local work should be scheduled directly — it needs no barrier).
+    messages (callers use the source server id, which is unique across
+    shards and is the one the sending callback acts for, see
+    {!Engine.set_sid}); the barrier schedules [fn] keyed as if [sid] had
+    scheduled it on [dst] at this shard's current instant
+    ({!Engine.schedule_posted}). Raises [Invalid_argument] if
+    [at - now < lookahead] (a conservative-synchronization violation) or
+    if [dst] is this shard (local work should be scheduled directly — it
+    needs no barrier).
 
     Message records are pooled and reused across epochs; a post in the
     steady state allocates only the closure. *)
@@ -43,6 +47,7 @@ val pending_messages : t -> int
 
 type msg = {
   mutable at : Time.t;
+  mutable posted_at : Time.t;  (** The sender's [now] at {!post}. *)
   mutable sid : int;
   mutable seq : int;
   mutable fn : Engine.t -> unit;

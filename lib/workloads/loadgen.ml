@@ -3,43 +3,71 @@ module Engine = Jord_sim.Engine
 module Server = Jord_faas.Server
 module Cluster = Jord_faas.Cluster
 
-type t = {
-  submit_fn : unit -> unit;
-  prng : Jord_util.Prng.t;
-  mean_gap_ns : float;
-  stop_at : Time.t;
-  mutable submitted : int;
-}
+(* An arrival process: [walk ()] starts a fresh walk of its arrival times,
+   counted from the stream's start. The arrivals up to [window] are
+   submitted; with [tail] the first one past it fires as a no-op, the last
+   event of a live generator. *)
+type t = { walk : unit -> unit -> Time.t; window : Time.t; tail : bool }
 
-let rec arrival t engine =
-  if Engine.now engine <= t.stop_at then begin
-    t.submit_fn ();
-    t.submitted <- t.submitted + 1;
-    let gap = Jord_util.Sample.exponential t.prng ~mean:t.mean_gap_ns in
-    Engine.schedule engine ~after:(Time.of_ns gap) (arrival t)
-  end
-
-let start_on ~engine ~submit ~rate_mrps ~duration ~seed =
+let poisson ~rate_mrps ~duration ~seed =
   if rate_mrps <= 0.0 then invalid_arg "Loadgen.start: rate";
-  let t =
-    {
-      submit_fn = submit;
-      prng = Jord_util.Prng.create ~seed;
-      mean_gap_ns = 1000.0 /. rate_mrps;
-      stop_at = Time.(Engine.now engine + duration);
-      submitted = 0;
-    }
+  let mean = 1000.0 /. rate_mrps in
+  let walk () =
+    let prng = Jord_util.Prng.create ~seed and at = ref Time.zero in
+    fun () ->
+      at := Time.(!at + of_ns (Jord_util.Sample.exponential prng ~mean));
+      !at
   in
-  let first = Jord_util.Sample.exponential t.prng ~mean:t.mean_gap_ns in
-  Engine.schedule engine ~after:(Time.of_ns first) (arrival t);
-  t
+  { walk; window = duration; tail = true }
+
+(* The one arming loop. Arrival [k] goes to [servers.(k mod n)]. The first
+   server on each engine starts that engine's source: a private walk of the
+   same times that arms, in the engine's arrival lane, only the arrivals
+   whose target runs there, one pending at a time. *)
+let drive servers t =
+  let n = Array.length servers and engines = Array.map Server.engine servers in
+  let from = Engine.now engines.(0) in
+  let stop_at = Time.(from + t.window) in
+  Array.iteri
+    (fun i engine ->
+      if not (Array.exists (( == ) engine) (Array.sub engines 0 i)) then begin
+        let next = t.walk () and k = ref 0 and target = ref 0 in
+        let rec fire _ =
+          let server = servers.(!target) in
+          arm ();
+          Server.submit server ()
+        and arm () =
+          let j = !k mod n and time = Time.(from + next ()) in
+          incr k;
+          let mine = engines.(j) == engine in
+          if time > stop_at then begin
+            if t.tail && mine then Engine.schedule_arrival_at engine ~time ignore
+          end
+          else if mine then begin
+            target := j;
+            Engine.schedule_arrival_at engine ~time fire
+          end
+          else arm ()
+        in
+        arm ()
+      end)
+    engines
 
 let start ~server ~rate_mrps ~duration ~seed =
-  start_on ~engine:(Server.engine server)
-    ~submit:(fun () -> Server.submit server ())
-    ~rate_mrps ~duration ~seed
+  let t = poisson ~rate_mrps ~duration ~seed in
+  drive [| server |] t;
+  t
 
-let submitted t = t.submitted
+let fixed_gaps servers ~arrivals ~gap_ns =
+  if gap_ns <= 0.0 then invalid_arg "Loadgen.fixed_gaps: gap";
+  let at k = Time.of_ns (float_of_int k *. gap_ns) in
+  let walk () =
+    let k = ref (-1) in
+    fun () ->
+      incr k;
+      at !k
+  in
+  drive servers { walk; window = at (arrivals - 1); tail = false }
 
 let run ?(warmup = 2000) ?tracer ?on_server ~app ~config ~rate_mrps ~duration_us
     ?(seed = 7) () =
@@ -56,30 +84,6 @@ let run ?(warmup = 2000) ?tracer ?on_server ~app ~config ~rate_mrps ~duration_us
   Server.run ~until:(Time.of_us (3.0 *. duration_us)) server;
   (server, recorder)
 
-(* Sharded clusters cannot take live submissions (an arrival closure would
-   read one shard's clock mid-epoch), so the same Poisson process is drawn
-   up front and pre-scheduled through {!Cluster.submit_at}. The draw
-   sequence, arrival timestamps and round-robin assignment are identical
-   to what {!start_on} produces event-by-event, and the live generator's
-   final past-the-window no-op event is reproduced as a sentinel so the
-   engines' processed-event tallies agree too. *)
-let pregen_cluster ~cluster ~rate_mrps ~duration ~seed =
-  if rate_mrps <= 0.0 then invalid_arg "Loadgen.start: rate";
-  let prng = Jord_util.Prng.create ~seed in
-  let mean_gap_ns = 1000.0 /. rate_mrps in
-  let t =
-    { submit_fn = (fun () -> ()); prng; mean_gap_ns; stop_at = duration; submitted = 0 }
-  in
-  let time = ref (Time.of_ns (Jord_util.Sample.exponential prng ~mean:mean_gap_ns)) in
-  while !time <= t.stop_at do
-    Cluster.submit_at cluster ~time:!time ();
-    t.submitted <- t.submitted + 1;
-    let gap = Jord_util.Sample.exponential prng ~mean:mean_gap_ns in
-    time := Time.(!time + Time.of_ns gap)
-  done;
-  Engine.schedule_at (Cluster.engine cluster) ~time:!time (fun _ -> ());
-  t
-
 let run_cluster ?(warmup = 2000) ?tracer ?on_cluster ?forward_after ?(shards = 1)
     ~servers ~app ~config ~rate_mrps ~duration_us ?(seed = 7) () =
   let cluster = Cluster.create ?forward_after ~shards ~servers ~config app in
@@ -87,16 +91,8 @@ let run_cluster ?(warmup = 2000) ?tracer ?on_cluster ?forward_after ?(shards = 1
   (match tracer with Some tr -> Cluster.set_tracer cluster (Some tr) | None -> ());
   let recorder = Jord_metrics.Recorder.create ~warmup () in
   Cluster.on_root_complete cluster (Jord_metrics.Recorder.observe recorder);
-  let duration = Time.of_us duration_us in
-  let (_ : t) =
-    if Cluster.shards cluster > 1 then
-      pregen_cluster ~cluster ~rate_mrps ~duration ~seed
-    else
-      start_on
-        ~engine:(Cluster.engine cluster)
-        ~submit:(fun () -> Cluster.submit cluster ())
-        ~rate_mrps ~duration ~seed
-  in
+  drive (Cluster.servers cluster)
+    (poisson ~rate_mrps ~duration:(Time.of_us duration_us) ~seed);
   Cluster.run ~until:(Time.of_us (3.0 *. duration_us)) cluster;
   (cluster, recorder)
 

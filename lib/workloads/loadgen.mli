@@ -2,9 +2,17 @@
 
     Inter-arrival times are exponential with mean [1 / rate]; arrivals are
     independent of completions, so overload shows up as unbounded queueing —
-    exactly the hockey-stick the p99-vs-load figures rely on. *)
+    exactly the hockey-stick the p99-vs-load figures rely on.
+
+    Every driver here arms arrivals alike: arrival [k] goes to server
+    [k mod n], and each distinct engine among the servers runs a source
+    that walks the whole arrival sequence and keeps the next arrival for
+    its own servers pending in the engine's arrival lane
+    ({!Jord_sim.Engine.schedule_arrival_at}), so a sharded cluster sees
+    the event order of a single-engine one. *)
 
 type t
+(** An arrival process. *)
 
 val start :
   server:Jord_faas.Server.t ->
@@ -12,11 +20,10 @@ val start :
   duration:Jord_sim.Time.t ->
   seed:int ->
   t
-(** Schedule arrivals from the current simulated time for [duration].
+(** Stream Poisson arrivals into [server] from the current simulated time
+    for [duration]; the first one past the window fires as a no-op.
     [rate_mrps] is in requests per microsecond (MRPS as used in the paper's
     figures — million requests per second). *)
-
-val submitted : t -> int
 
 val run :
   ?warmup:int ->
@@ -49,19 +56,18 @@ val run_cluster :
   ?seed:int ->
   unit ->
   Jord_faas.Cluster.t * Jord_metrics.Recorder.t
-(** {!run} over a {!Jord_faas.Cluster}: [servers] workers share one engine
-    and one front-end round-robin load balancer; internal requests that
-    cannot be placed locally are forwarded after [forward_after] (default 3,
-    see {!Jord_faas.Cluster.create}) full-scan retries. [on_cluster] is the
-    telemetry hook, as [on_server] is for {!run}.
+(** {!run} over a {!Jord_faas.Cluster}: [servers] workers behind one
+    front-end round-robin load balancer; internal requests that cannot be
+    placed locally are forwarded after [forward_after] (default 3, see
+    {!Jord_faas.Cluster.create}) full-scan retries. [on_cluster] is the
+    telemetry hook, as [on_server] is for {!run}. [shards] (default 1) runs
+    the servers on that many parallel engine shards, each streaming its
+    servers' share of the one Poisson process, so results are
+    byte-identical across shard counts. *)
 
-    [shards] (default 1) runs the servers on that many parallel engine
-    shards (see {!Jord_faas.Cluster.create}); at 1 the historical
-    single-engine path runs unchanged, while above 1 the same Poisson
-    arrival process is pre-drawn and scheduled through
-    {!Jord_faas.Cluster.submit_at} — identical timestamps, identical
-    round-robin placement — so results are byte-identical across shard
-    counts. *)
+val fixed_gaps : Jord_faas.Server.t array -> arrivals:int -> gap_ns:float -> unit
+(** Arm [arrivals] arrivals [gap_ns > 0] apart over the servers, the first
+    now, through the same sources as {!run_cluster}; no trailing no-op. *)
 
 val stream_population :
   engine:Jord_sim.Engine.t ->

@@ -1,7 +1,8 @@
 (* Tests of the conservative parallel core: the Shard mailbox contract,
    deterministic barrier delivery (a qcheck property against a model sort),
    Epoch horizon semantics on empty shards, and the Cluster's sharded mode
-   — argument validation plus shards=1 vs shards=3 equivalence. *)
+   — argument validation, shards=1 vs shards=3 equivalence, and the load
+   generator's per-engine arrival sources at 1, 2 and 4 shards. *)
 
 module Engine = Jord_sim.Engine
 module Shard = Jord_sim.Shard
@@ -200,12 +201,9 @@ let test_cluster_validation () =
   let c1 = Cluster.create ~servers:3 ~config app in
   Alcotest.(check int) "default is single-engine" 1 (Cluster.shards c1);
   Alcotest.check_raises "live submit rejected when sharded"
-    (Invalid_argument "Cluster.submit: sharded clusters take arrivals via submit_at")
-    (fun () -> Cluster.submit c ());
-  Cluster.submit_at c ~time:500 ();
-  Alcotest.check_raises "submission times must be nondecreasing"
-    (Invalid_argument "Cluster.submit_at: submission times must be nondecreasing")
-    (fun () -> Cluster.submit_at c ~time:499 ())
+    (Invalid_argument
+       "Cluster.submit: a sharded cluster takes arrivals from Loadgen.run_cluster")
+    (fun () -> Cluster.submit c ())
 
 (* --- Cluster sharded mode: equivalence with the sequential path --- *)
 
@@ -221,9 +219,8 @@ let run_cluster ?(config = Test_cluster.small_config) ~shards n_requests =
       roots :=
         (r.Request.completed_at, r.Request.finished, r.Request.invocations)
         :: !roots);
-  for i = 0 to n_requests - 1 do
-    Cluster.submit_at cluster ~time:(Time.of_ns (float_of_int i *. 900.0)) ()
-  done;
+  Jord_workloads.Loadgen.fixed_gaps (Cluster.servers cluster) ~arrivals:n_requests
+    ~gap_ns:900.0;
   Cluster.run cluster;
   let per_server =
     Array.to_list (Cluster.servers cluster)
@@ -273,9 +270,8 @@ let run_chaos_cluster ~plan ~shards n_requests =
       roots :=
         (r.Request.completed_at, r.Request.finished, r.Request.invocations)
         :: !roots);
-  for i = 0 to n_requests - 1 do
-    Cluster.submit_at cluster ~time:(Time.of_ns (float_of_int i *. 900.0)) ()
-  done;
+  Jord_workloads.Loadgen.fixed_gaps (Cluster.servers cluster) ~arrivals:n_requests
+    ~gap_ns:900.0;
   Cluster.run cluster;
   let sum f =
     Array.fold_left (fun a s -> a + f s) 0 (Cluster.servers cluster)
@@ -342,6 +338,210 @@ let test_sharded_server_crash_equals_sequential () =
   let _, _, _, server_crashes, _, _ = chaos in
   Alcotest.(check bool) "whole-server crashes injected" true (server_crashes > 0)
 
+(* --- Loadgen.run_cluster: arrival ties at every shard count --- *)
+
+(* The benchmark's cluster_fanout run at JBSQ bound 1 (seeds derived from
+   benchmark seed 1). Some arrivals land on the same picosecond as another
+   event here, so ordering arrivals differently at 1 shard and above shows
+   up as different event and forward counts. *)
+let fanout_jbsq1 ~shards =
+  let config =
+    {
+      (Jord_exp.Exp_common.config_for Variant.Jord) with
+      Server.machine = Jord_arch.Config.with_cores Jord_arch.Config.default 8;
+      orchestrators = 1;
+      queue_capacity = 1;
+      seed = 445620787;
+    }
+  in
+  let cluster, recorder =
+    Jord_workloads.Loadgen.run_cluster ~warmup:500 ~forward_after:2 ~shards ~servers:8
+      ~app:Test_cluster.fanout_app ~config ~rate_mrps:3.0 ~duration_us:600.0
+      ~seed:963445776 ()
+  in
+  let module R = Jord_metrics.Recorder in
+  ( Cluster.events_processed cluster,
+    Cluster.forwarded cluster,
+    ( Array.to_list (Cluster.servers cluster)
+      |> List.map (fun s -> (Server.completed_roots s, Server.forwarded_out s, Server.received_in s)),
+      R.count recorder, R.cdf recorder ),
+    (R.p50_us recorder, R.p99_us recorder) )
+
+let test_run_cluster_jbsq1_ties () =
+  let events1, fwd1, done1, pct1 = fanout_jbsq1 ~shards:1 in
+  Alcotest.(check bool) "the run forwards" true (fwd1 > 0);
+  List.iter
+    (fun shards ->
+      let events, fwd, done_, pct = fanout_jbsq1 ~shards in
+      let at = Printf.sprintf " at %d shards" shards in
+      Alcotest.(check int) ("events" ^ at) events1 events;
+      Alcotest.(check int) ("forwards" ^ at) fwd1 fwd;
+      Alcotest.(check bool) ("completion records" ^ at) true (done1 = done_);
+      Alcotest.(check (pair (float 0.0) (float 0.0))) ("p50/p99" ^ at) pct1 pct)
+    [ 2; 4 ]
+
+(* --- qcheck: every arrival source agrees at 1, 2 and 4 shards --- *)
+
+(* The fan-out app with its leaf compute on a grid of the 2500 ns one-way
+   wire latency, so that, with arrivals on the same grid, events on
+   different servers often share a picosecond. *)
+let grid_app ~leaf_ns =
+  let leaf =
+    { Model.name = "leaf"; make_phases = (fun _ -> [ Model.compute leaf_ns ]);
+      state_bytes = 1024; code_bytes = 1024 }
+  in
+  { Test_cluster.fanout_app with
+    Model.fns = [ List.hd Test_cluster.fanout_app.Model.fns; leaf ] }
+
+type arrivals =
+  | Poisson of { rate_mrps : float; duration_us : float }
+  | Gaps of { n : int; gap_ns : float }
+
+type case = {
+  capacity : int;
+  servers : int;
+  forward_after : int;
+  seed : int;
+  chaos : bool;
+  arrivals : arrivals;
+  leaf_ns : float;
+}
+
+let gen_case =
+  let open QCheck.Gen in
+  let grid = map (fun m -> 2500.0 *. float_of_int m) in
+  let arrivals =
+    oneof
+      [
+        map2
+          (fun rate_mrps n -> Poisson { rate_mrps; duration_us = float_of_int n /. rate_mrps })
+          (oneofl [ 0.5; 1.0; 2.0 ]) (int_range 20 60);
+        map2 (fun n gap_ns -> Gaps { n; gap_ns }) (int_range 20 60) (grid (int_range 1 2));
+      ]
+  in
+  map3
+    (fun (capacity, servers, forward_after) (seed, chaos) (arrivals, leaf_ns) ->
+      { capacity; servers; forward_after; seed; chaos; arrivals; leaf_ns })
+    (triple (oneofl [ 1; 2; 4 ]) (int_range 2 8) (int_range 1 3))
+    (pair (int_bound 1_000_000) bool)
+    (pair arrivals (grid (int_range 1 3)))
+
+let print_case c =
+  Printf.sprintf "capacity=%d servers=%d forward_after=%d seed=%d plan=%s %s leaf=%gns"
+    c.capacity c.servers c.forward_after c.seed
+    (if c.chaos then "ci-smoke" else "none")
+    (match c.arrivals with
+    | Poisson p -> Printf.sprintf "poisson %g Mrps over %g us" p.rate_mrps p.duration_us
+    | Gaps g -> Printf.sprintf "%d arrivals %g ns apart" g.n g.gap_ns)
+    c.leaf_ns
+
+type observed = {
+  events : int;
+  forwards : int;
+  members : (int * int * int * int) list;  (** arrivals, completed, out, in *)
+  completions : int * (float * float) list;  (** recorder count and CDF *)
+  transport : Cluster.net_stats option;
+  invariants : string list;
+  trace : string;
+}
+
+(* One run of [c] at [shards]. The trace is Chrome JSON in the canonical
+   (time, server) order a sharded run replays it in, so it compares each
+   server's own event order. *)
+let observe c ~shards =
+  let config =
+    {
+      Test_cluster.small_config with
+      Server.queue_capacity = c.capacity;
+      seed = c.seed;
+      fault_plan = (if c.chaos then Some Jord_fault_inject.Plan.ci_smoke else None);
+    }
+  in
+  let app = grid_app ~leaf_ns:c.leaf_ns in
+  let tracer = Trace.create ~capacity:65536 () in
+  let cluster, recorder =
+    match c.arrivals with
+    | Poisson { rate_mrps; duration_us } ->
+        Jord_workloads.Loadgen.run_cluster ~warmup:0 ~tracer ~forward_after:c.forward_after
+          ~shards ~servers:c.servers ~app ~config ~rate_mrps ~duration_us ~seed:c.seed ()
+    | Gaps { n; gap_ns } ->
+        let cluster =
+          Cluster.create ~forward_after:c.forward_after ~shards ~servers:c.servers ~config app
+        in
+        Cluster.set_tracer cluster (Some tracer);
+        let recorder = Jord_metrics.Recorder.create ~warmup:0 () in
+        Cluster.on_root_complete cluster (Jord_metrics.Recorder.observe recorder);
+        Jord_workloads.Loadgen.fixed_gaps (Cluster.servers cluster) ~arrivals:n ~gap_ns;
+        Cluster.run cluster;
+        (cluster, recorder)
+  in
+  let canonical =
+    List.stable_sort
+      (fun (a : Trace.event) b -> compare (a.Trace.at_ps, a.Trace.sid) (b.Trace.at_ps, b.Trace.sid))
+      (Trace.events tracer)
+  in
+  {
+    events = Cluster.events_processed cluster;
+    forwards = Cluster.forwarded cluster;
+    members =
+      Array.to_list (Cluster.servers cluster)
+      |> List.map (fun s ->
+             (Server.arrivals s, Server.completed_roots s, Server.forwarded_out s,
+              Server.received_in s));
+    completions = Jord_metrics.Recorder.(count recorder, cdf recorder);
+    transport = Cluster.net_stats cluster;
+    invariants = Cluster.check_invariants cluster;
+    trace = Trace.chrome_document (Trace.chrome_events canonical);
+  }
+
+(* The names of what differs between two observations. *)
+let differs a b =
+  List.filter_map
+    (fun (what, same) -> if same then None else Some what)
+    [
+      ("events", a.events = b.events);
+      ("forwards", a.forwards = b.forwards);
+      ("per-server tallies", a.members = b.members);
+      ("completions", a.completions = b.completions);
+      ("transport", a.transport = b.transport);
+      ("invariants", a.invariants = b.invariants);
+      ("trace", a.trace = b.trace);
+    ]
+
+let prop_arrival_sources =
+  QCheck.Test.make ~name:"arrival sources agree at 1, 2 and 4 shards" ~count:20
+    (QCheck.make ~print:print_case gen_case)
+    (fun c ->
+      let base = observe c ~shards:1 in
+      base.events > 0
+      && List.for_all
+           (fun shards ->
+             match differs (observe c ~shards) base with
+             | [] -> true
+             | d -> QCheck.Test.fail_reportf "%d shards: %s differ" shards (String.concat ", " d))
+           [ 2; 4 ])
+
+(* The property's first find, kept as a fixed case: on server 2 a request
+   forwarded by server 1 arrives on the same picosecond as the server's own
+   queue-full retry. One engine fires the delivery first (it was scheduled
+   earlier); a barrier that queued it behind the destination's events of
+   the epoch fired it second, and the trace told the runs apart. *)
+let test_barrier_tie () =
+  let c =
+    {
+      capacity = 2;
+      servers = 3;
+      forward_after = 3;
+      seed = 313405;
+      chaos = false;
+      arrivals = Gaps { n = 23; gap_ns = 2500.0 };
+      leaf_ns = 5000.0;
+    }
+  in
+  Alcotest.(check (list string))
+    "nothing differs at 2 shards" []
+    (differs (observe c ~shards:2) (observe c ~shards:1))
+
 let suite =
   [
     Alcotest.test_case "Shard.post contract" `Quick test_post_contract;
@@ -358,4 +558,7 @@ let suite =
       test_sharded_chaos_equals_sequential;
     Alcotest.test_case "sharded server crashes = sequential" `Quick
       test_sharded_server_crash_equals_sequential;
+    Alcotest.test_case "run_cluster JBSQ-1 ties" `Quick test_run_cluster_jbsq1_ties;
+    QCheck_alcotest.to_alcotest prop_arrival_sources;
+    Alcotest.test_case "barrier delivery tie" `Quick test_barrier_tie;
   ]
