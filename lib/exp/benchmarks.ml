@@ -65,8 +65,22 @@ let engine ~quick =
       ()
     done
   in
+  (* The same batch as wire hops: one source, a constant delay after a
+     rising clock, so every push appends to the hop lane. *)
+  let hop_batch () =
+    let q = Jord_sim.Event_queue.create () in
+    incr counter;
+    for i = 0 to 15 do
+      Jord_sim.Event_queue.push_hop q ~time:(!counter + i + 97) ~sched:(!counter + i) ~src:0 i
+    done;
+    while Jord_sim.Event_queue.pop q <> None do
+      ()
+    done
+  in
   let per_batch = time_ns ~reps:(reps quick) ~iters batch in
   let words = minor_words ~iters:2_000 batch in
+  let hop_per_batch = time_ns ~reps:(reps quick) ~iters hop_batch in
+  let hop_words = minor_words ~iters:2_000 hop_batch in
   {
     B.experiment = "engine";
     metrics =
@@ -74,6 +88,9 @@ let engine ~quick =
         B.metric ~name:"queue_push_pop_x16" ~unit_:"ns/batch" per_batch;
         B.count ~tolerance:alloc_tol ~name:"queue_push_pop_x16_minor_words"
           ~unit_:"words/batch" words;
+        B.metric ~name:"hop_push_pop_x16" ~unit_:"ns/batch" hop_per_batch;
+        B.count ~tolerance:alloc_tol ~name:"hop_push_pop_x16_minor_words"
+          ~unit_:"words/batch" hop_words;
       ];
   }
 

@@ -133,10 +133,12 @@ let timeout_ns t ch =
   (2.0 *. one_way_ns t) +. Injector.max_jitter_ns ch.injs.(0)
   +. ch.recovery.Recovery.retry_base_ns
 
-(* Schedule [fn] at absolute time [at] as seen from server [src]: a plain
-   engine event when [dst] shares [src]'s engine (sequential mode, or
+(* Schedule [fn] at absolute time [at] as seen from server [src]: a wire
+   hop on the engine when [dst] shares [src]'s engine (sequential mode, or
    co-sharded servers), a mailbox post otherwise. Every chaos wire event is
-   at least [one_way] in the future, so the lookahead contract holds. *)
+   at least [one_way] in the future, so the lookahead contract holds; a
+   jittered hop scheduled out of firing order goes to the heap instead of
+   the hop lane and fires at the same place. *)
 let post t ~src ~dst ~at fn =
   match t.sharded with
   | Some s when s.shard_of.(src) <> s.shard_of.(dst) ->
@@ -144,7 +146,7 @@ let post t ~src ~dst ~at fn =
         (Jord_sim.Epoch.shard s.epochs s.shard_of.(src))
         ~dst:s.shard_of.(dst) ~at ~sid:src fn
   | Some _ | None ->
-      Engine.schedule_at (Server.engine t.servers.(src)) ~time:at fn
+      Engine.schedule_hop_at (Server.engine t.servers.(src)) ~time:at fn
 
 (* First non-quarantined peer in ring order after [src]; when every peer is
    quarantined, fall back to the ring successor (the transfer probes it). *)
@@ -381,18 +383,14 @@ let create ?(forward_after = 3) ?(shards = 1) ~servers:n ~config app =
                  (fun req ->
                    let j = (i + 1) mod n in
                    let target = servers.(j) in
+                   let at = Time.(Engine.now (Server.engine server) + net_one_way) in
+                   let deliver _ = Server.receive_forwarded target req in
                    match sharded with
                    | Some s when s.shard_of.(i) <> s.shard_of.(j) ->
                        let src = Jord_sim.Epoch.shard s.epochs s.shard_of.(i) in
-                       let at =
-                         Time.(Engine.now (Server.engine server) + net_one_way)
-                       in
-                       Jord_sim.Shard.post src ~dst:s.shard_of.(j) ~at ~sid:i
-                         (fun _ -> Server.receive_forwarded target req)
+                       Jord_sim.Shard.post src ~dst:s.shard_of.(j) ~at ~sid:i deliver
                    | Some _ | None ->
-                       Jord_sim.Engine.schedule (Server.engine server)
-                         ~after:net_one_way (fun _ ->
-                           Server.receive_forwarded target req))))
+                       Engine.schedule_hop_at (Server.engine server) ~time:at deliver)))
         servers
   | Some ch ->
       (* Chaos wire: health-aware peer choice, ack-and-timeout retries with
@@ -416,7 +414,7 @@ let create ?(forward_after = 3) ?(shards = 1) ~servers:n ~config app =
                (fun req ~at fn ->
                  let dst = s.shard_of.(req.Request.home_sid) in
                  if dst = s.shard_of.(i) then
-                   Jord_sim.Engine.schedule_at (Server.engine server) ~time:at fn
+                   Engine.schedule_hop_at (Server.engine server) ~time:at fn
                  else
                    Jord_sim.Shard.post
                      (Jord_sim.Epoch.shard s.epochs s.shard_of.(i))

@@ -84,9 +84,10 @@ let one_way t = Netmodel.one_way t.cfg.net
 (* --- cross-shard plumbing (the Cluster post pattern) ------------------- *)
 
 (* Balancer -> member: the balancer runs on shard 0, so a co-sharded or
-   sequential destination is a plain schedule; anything else goes through
+   sequential destination is a plain wire hop; anything else goes through
    the mailbox with the constant balancer sid (= servers, unique fleet-
-   wide) as the same-timestamp tiebreaker. *)
+   wide) as the same-timestamp tiebreaker. Every hop is one constant
+   [one_way] ahead, so it joins the engine's hop lane in order. *)
 let to_server t ~server ~at fn =
   match t.sharded with
   | Some s when s.shard_of.(server) <> 0 ->
@@ -94,8 +95,8 @@ let to_server t ~server ~at fn =
         (Jord_sim.Epoch.shard s.epochs 0)
         ~dst:s.shard_of.(server) ~at ~sid:t.cfg.servers fn
   | Some s ->
-      Engine.schedule_at (Jord_sim.Epoch.engine s.epochs s.shard_of.(server)) ~time:at fn
-  | None -> Engine.schedule_at t.engine ~time:at fn
+      Engine.schedule_hop_at (Jord_sim.Epoch.engine s.epochs s.shard_of.(server)) ~time:at fn
+  | None -> Engine.schedule_hop_at t.engine ~time:at fn
 
 (* Member -> balancer: sid is the member's id, as in Cluster. *)
 let to_lb t ~server ~at fn =
@@ -104,7 +105,7 @@ let to_lb t ~server ~at fn =
       Jord_sim.Shard.post
         (Jord_sim.Epoch.shard s.epochs s.shard_of.(server))
         ~dst:0 ~at ~sid:server fn
-  | Some _ | None -> Engine.schedule_at t.engine ~time:at fn
+  | Some _ | None -> Engine.schedule_hop_at t.engine ~time:at fn
 
 (* --- balancer-side request lifecycle ----------------------------------- *)
 

@@ -23,9 +23,13 @@ let schedule_handle t ~after f =
   if after < 0 then invalid_arg "Engine.schedule: negative delay";
   Event_queue.push_from t.queue ~time:Time.(t.now + after) ~sched:t.now ~src:t.sid f
 
+let schedule_hop_at t ~time f =
+  if time < t.now then invalid_arg "Engine.schedule_hop_at: time in the past";
+  Event_queue.push_hop t.queue ~time ~sched:t.now ~src:t.sid f
+
 let schedule_posted t ~time ~posted_at ~sid f =
   if time < t.now then invalid_arg "Engine.schedule_posted: time in the past";
-  ignore (Event_queue.push_from t.queue ~time ~sched:posted_at ~src:sid f : handle)
+  Event_queue.push_hop t.queue ~time ~sched:posted_at ~src:sid f
 
 let schedule_arrival_at t ~time f =
   if time < t.now then invalid_arg "Engine.schedule_arrival_at: time in the past";
@@ -45,28 +49,33 @@ let reschedule t h ~time =
 
 let pending_handle t h = Event_queue.holds t.queue h
 
+(* Pop and run the earliest event; the queue must not be empty. *)
+let fire t =
+  let f = Event_queue.pop_exn t.queue in
+  t.now <- Event_queue.popped_time t.queue;
+  t.sid <- Event_queue.popped_src t.queue;
+  t.processed <- t.processed + 1;
+  f t
+
 let step t =
   if Event_queue.is_empty t.queue then false
   else begin
-    let time = Event_queue.min_time_exn t.queue in
-    t.sid <- Event_queue.min_src_exn t.queue;
-    let f = Event_queue.pop_exn t.queue in
-    t.now <- time;
-    t.processed <- t.processed + 1;
-    f t;
+    fire t;
     true
   end
+
+(* Run every event stamped at or before [limit], leaving [now] at the last
+   one. *)
+let run_upto t limit =
+  while (not (Event_queue.is_empty t.queue)) && Event_queue.min_time_exn t.queue <= limit do
+    fire t
+  done
 
 let run ?until t =
   match until with
   | None -> while step t do () done
   | Some limit ->
-      let continue = ref true in
-      while !continue do
-        if Event_queue.is_empty t.queue then continue := false
-        else if Event_queue.min_time_exn t.queue > limit then continue := false
-        else ignore (step t : bool)
-      done;
+      run_upto t limit;
       (* The run covered the whole window: observers (utilization, samplers)
          must see the horizon they asked for, not the last event's stamp. *)
       if t.now < limit then t.now <- limit
@@ -77,13 +86,7 @@ let run ?until t =
    a barrier-drained message may still land inside this window, and
    [schedule_at] would reject it as "time in the past". The epoch loop forces
    the caller's horizon exactly once, after the final barrier. *)
-let run_window t ~until =
-  let continue = ref true in
-  while !continue do
-    if Event_queue.is_empty t.queue then continue := false
-    else if Event_queue.min_time_exn t.queue > until then continue := false
-    else ignore (step t : bool)
-  done
+let run_window t ~until = run_upto t until
 
 let next_time t = Event_queue.peek_time t.queue
 

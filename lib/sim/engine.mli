@@ -13,10 +13,10 @@
     the same event order on one shared engine as on one engine per shard
     ({!schedule_posted}).
 
-    Scheduling is allocation-free in the engine itself: the event heap
-    stores closures in recycled slots (see {!Event_queue}), so hot loops
-    that reuse a pre-built closure — the orchestrator dispatch loop, the
-    executor poll loop — put no per-event pressure on the GC. The
+    Scheduling is allocation-free in the engine itself: the event queue
+    stores closures in recycled slots and rings (see {!Event_queue}), so
+    hot loops that reuse a pre-built closure — the orchestrator dispatch
+    loop, the executor poll loop — put no per-event pressure on the GC. The
     [_handle] variants return a {!handle} with which a pending event can be
     cancelled or moved. *)
 
@@ -55,12 +55,23 @@ val schedule_arrival_at : t -> time:Time.t -> (t -> unit) -> unit
     whole stream before anything else. No handle: arrivals are neither
     cancelled nor moved. *)
 
+val schedule_hop_at : t -> time:Time.t -> (t -> unit) -> unit
+(** As {!schedule_at} for a wire hop: the same key and the same firing
+    order, but no handle, so the event can be neither cancelled nor moved.
+    Hops go through the queue's hop lane ({!Event_queue.push_hop}), which
+    takes them without a heap sift while they are scheduled in firing order
+    — a constant latency after a nondecreasing [now], for one entity.
+    In-order scheduling is only a speed hint: a hop out of order is queued
+    in the heap and fires exactly where {!schedule_at} would put it. *)
+
 val schedule_posted :
   t -> time:Time.t -> posted_at:Time.t -> sid:int -> (t -> unit) -> unit
-(** As {!schedule_at}, keyed as if entity [sid] had scheduled it at instant
-    [posted_at] on this engine: how {!Epoch} delivers a message posted on
-    another shard so that it sorts exactly where a shared engine would have
-    put it. *)
+(** As {!schedule_hop_at}, keyed as if entity [sid] had scheduled it at
+    instant [posted_at] on this engine: how {!Epoch} delivers a message
+    posted on another shard so that it sorts exactly where a shared engine
+    would have put it. {!Epoch} delivers each barrier's messages in
+    ascending (time, sid, posting order), so a barrier's constant-latency
+    messages reach the hop lane in order. *)
 
 val schedule_handle : t -> after:Time.t -> (t -> unit) -> handle
 val schedule_at_handle : t -> time:Time.t -> (t -> unit) -> handle

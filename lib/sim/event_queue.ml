@@ -1,4 +1,5 @@
-(* Indexed binary min-heap over (time, sched, seq) with stable handles.
+(* Indexed binary min-heap over (time, sched, seq) with stable handles,
+   beside two handle-less FIFO lanes.
 
    The heap is a structure of arrays — times, scheds, seqs and slot ids in
    parallel int arrays — so pushing an event allocates nothing once the
@@ -11,9 +12,18 @@
    [sched] is the instant the event was scheduled at and [seq] packs its
    source id above a push counter, so same-time events go by scheduling
    instant, then source, then push order. A queue fed in time order by one
-   source is therefore plain FIFO among equal times. Arrival-lane events
-   carry [sched = min_int], so they sort ahead of every other event at the
-   same time and in FIFO order among themselves. *)
+   source is therefore plain FIFO among equal times. Arrivals carry
+   [sched = min_int] and a counter of their own, so they sort ahead of
+   every other event at the same time and in FIFO order among themselves.
+
+   The lanes hold the events nobody cancels or moves — arrivals and wire
+   hops — and those are mostly pushed in the order they fire: a hop one
+   constant latency ahead of a nondecreasing clock. A lane is a ring kept
+   sorted by the same key: a push whose key sorts after the lane's tail is
+   appended, any other push goes into the heap under that key. A pop takes
+   the least of the heap top and the two lane heads, so events leave in
+   exactly the order one heap holding them all would give; the lanes only
+   spare the in-order majority its sifts. *)
 
 type handle = int
 
@@ -24,6 +34,17 @@ let none_handle = -1
 (* seq = src lsl counter_bits lor counter: 2^20 sources, 2^42 pushes. *)
 let counter_bits = 42
 let max_src = (1 lsl (62 - counter_bits)) - 1
+
+(* A lane: a ring of (time, sched, seq, payload) in ascending key order
+   from [head]; its capacity is 0 or a power of two. *)
+type 'a lane = {
+  mutable l_times : int array;
+  mutable l_scheds : int array;
+  mutable l_seqs : int array;
+  mutable l_vals : 'a array;
+  mutable head : int;
+  mutable len : int;
+}
 
 type 'a t = {
   (* Heap order: position i holds (times.(i), scheds.(i), seqs.(i),
@@ -43,7 +64,15 @@ type 'a t = {
   mutable free_top : int;
   mutable slots_used : int;
   mutable dummy : 'a option; (* slot filler so popped payloads can be GC'd *)
+  arrivals : 'a lane;
+  hops : 'a lane;
+  (* The event the last pop returned. *)
+  mutable popped_time : int;
+  mutable popped_src : int;
 }
+
+let create_lane () =
+  { l_times = [||]; l_scheds = [||]; l_seqs = [||]; l_vals = [||]; head = 0; len = 0 }
 
 let create () =
   {
@@ -61,10 +90,20 @@ let create () =
     free_top = 0;
     slots_used = 0;
     dummy = None;
+    arrivals = create_lane ();
+    hops = create_lane ();
+    popped_time = 0;
+    popped_src = 0;
   }
 
-let is_empty t = t.size = 0
-let length t = t.size
+let is_empty t = t.size = 0 && t.arrivals.len = 0 && t.hops.len = 0
+let length t = t.size + t.arrivals.len + t.hops.len
+
+(* (time1, sched1, seq1) sorts before (time2, sched2, seq2). The [int]
+   annotations keep the polymorphic compare out. *)
+let[@inline] key_less (time1 : int) (sched1 : int) (seq1 : int) (time2 : int)
+    (sched2 : int) (seq2 : int) =
+  time1 < time2 || (time1 = time2 && (sched1 < sched2 || (sched1 = sched2 && seq1 < seq2)))
 
 let less t i j =
   t.times.(i) < t.times.(j)
@@ -162,8 +201,10 @@ let free_slot t s =
   t.free.(t.free_top) <- s;
   t.free_top <- t.free_top + 1
 
+let set_dummy t v = match t.dummy with None -> t.dummy <- Some v | Some _ -> ()
+
 let push_seq t ~time ~sched ~seq v =
-  if t.dummy = None then t.dummy <- Some v;
+  set_dummy t v;
   ensure_heap_capacity t;
   let s = alloc_slot t v in
   let i = t.size in
@@ -185,22 +226,86 @@ let fresh_seq t ~src =
 let push_from t ~time ~sched ~src v = push_seq t ~time ~sched ~seq:(fresh_seq t ~src) v
 let push t ~time v = push_from t ~time ~sched:0 ~src:0 v
 
+(* --- lanes ------------------------------------------------------------ *)
+
+(* Copy ring [a] (capacity [cap], [len] live from [head]) into the front of
+   a fresh array of [ncap] cells filled with [fill]. *)
+let unwrap a ~cap ~head ~len ncap fill =
+  let b = Array.make ncap fill in
+  let first = Int.min len (cap - head) in
+  Array.blit a head b 0 first;
+  Array.blit a 0 b first (len - first);
+  b
+
+let grow_lane l v =
+  let cap = Array.length l.l_times and head = l.head and len = l.len in
+  let ncap = Int.max 16 (cap * 2) in
+  l.l_times <- unwrap l.l_times ~cap ~head ~len ncap 0;
+  l.l_scheds <- unwrap l.l_scheds ~cap ~head ~len ncap 0;
+  l.l_seqs <- unwrap l.l_seqs ~cap ~head ~len ncap 0;
+  l.l_vals <- unwrap l.l_vals ~cap ~head ~len ncap v;
+  l.head <- 0
+
+(* Append to lane [l] when the key sorts after the lane's tail, else push it
+   into the heap under the same key: the lane stays sorted either way. *)
+let push_lane t l ~time ~sched ~seq v =
+  let len = l.len in
+  let mask = Array.length l.l_times - 1 in
+  let tail = (l.head + len - 1) land mask in
+  if len = 0 || key_less l.l_times.(tail) l.l_scheds.(tail) l.l_seqs.(tail) time sched seq
+  then begin
+    set_dummy t v;
+    if len = mask + 1 then grow_lane l v;
+    let i = (l.head + len) land (Array.length l.l_times - 1) in
+    l.l_times.(i) <- time;
+    l.l_scheds.(i) <- sched;
+    l.l_seqs.(i) <- seq;
+    l.l_vals.(i) <- v;
+    l.len <- len + 1
+  end
+  else ignore (push_seq t ~time ~sched ~seq v : handle)
+
 let push_arrival t ~time v =
   let seq = t.next_arrival_seq in
   t.next_arrival_seq <- seq + 1;
-  ignore (push_seq t ~time ~sched:min_int ~seq v : handle)
+  push_lane t t.arrivals ~time ~sched:min_int ~seq v
 
-let min_src_exn t =
-  if t.size = 0 then invalid_arg "Event_queue.min_src_exn: empty";
-  t.seqs.(0) lsr counter_bits
+let push_hop t ~time ~sched ~src v = push_lane t t.hops ~time ~sched ~seq:(fresh_seq t ~src) v
 
-let min_time_exn t =
-  if t.size = 0 then invalid_arg "Event_queue.min_time_exn: empty";
-  t.times.(0)
+(* --- pop: the least of the heap top and the lane heads ------------------ *)
 
-let pop_exn t =
-  if t.size = 0 then invalid_arg "Event_queue.pop_exn: empty";
+type store = Heap | Arrivals | Hops | Nowhere
+
+(* The head of non-empty lane [l] sorts before the top of a non-empty
+   heap. *)
+let[@inline] lane_before_heap t l =
+  let i = l.head in
+  key_less l.l_times.(i) l.l_scheds.(i) l.l_seqs.(i) t.times.(0) t.scheds.(0) t.seqs.(0)
+
+(* Which store holds the least key. *)
+let least t =
+  let a = t.arrivals and h = t.hops in
+  let first =
+    if a.len = 0 then if t.size = 0 then Nowhere else Heap
+    else if t.size = 0 || lane_before_heap t a then Arrivals
+    else Heap
+  in
+  if h.len = 0 then first
+  else
+    match first with
+    | Nowhere -> Hops
+    | Heap -> if lane_before_heap t h then Hops else Heap
+    | Arrivals | Hops ->
+        let i = h.head and j = a.head in
+        if key_less h.l_times.(i) h.l_scheds.(i) h.l_seqs.(i) a.l_times.(j) a.l_scheds.(j)
+             a.l_seqs.(j)
+        then Hops
+        else Arrivals
+
+let pop_heap t =
   let s = t.slots.(0) in
+  t.popped_time <- t.times.(0);
+  t.popped_src <- t.seqs.(0) lsr counter_bits;
   let v = t.payloads.(s) in
   free_slot t s;
   let last = t.size - 1 in
@@ -211,15 +316,46 @@ let pop_exn t =
   end;
   v
 
+let pop_lane t l =
+  let i = l.head in
+  t.popped_time <- l.l_times.(i);
+  t.popped_src <- l.l_seqs.(i) lsr counter_bits;
+  let v = l.l_vals.(i) in
+  (match t.dummy with Some d -> l.l_vals.(i) <- d | None -> ());
+  l.head <- (i + 1) land (Array.length l.l_times - 1);
+  l.len <- l.len - 1;
+  v
+
+let pop_exn t =
+  match least t with
+  | Heap -> pop_heap t
+  | Hops -> pop_lane t t.hops
+  | Arrivals -> pop_lane t t.arrivals
+  | Nowhere -> invalid_arg "Event_queue.pop_exn: empty"
+
+let popped_time t = t.popped_time
+let popped_src t = t.popped_src
+
 let pop t =
-  if t.size = 0 then None
+  if is_empty t then None
   else begin
-    let time = t.times.(0) in
     let v = pop_exn t in
-    Some (time, v)
+    Some (t.popped_time, v)
   end
 
-let peek_time t = if t.size = 0 then None else Some t.times.(0)
+let[@inline] lane_min_time l (m : int) =
+  if l.len = 0 then m
+  else
+    let x = l.l_times.(l.head) in
+    if x < m then x else m
+
+let min_time_exn t =
+  let m = if t.size = 0 then max_int else t.times.(0) in
+  let m = lane_min_time t.hops (lane_min_time t.arrivals m) in
+  if m = max_int && is_empty t then invalid_arg "Event_queue.min_time_exn: empty";
+  m
+
+let peek_time t = if is_empty t then None else Some (min_time_exn t)
 
 let holds t h =
   let s = h land slot_mask and g = h lsr slot_bits in
@@ -266,6 +402,16 @@ let reschedule_from t h ~time ~sched ~src =
 
 let reschedule t h ~time = reschedule_from t h ~time ~sched:0 ~src:0
 
+let clear_lane t l =
+  (match t.dummy with
+  | Some d ->
+      for k = 0 to l.len - 1 do
+        l.l_vals.((l.head + k) land (Array.length l.l_vals - 1)) <- d
+      done
+  | None -> ());
+  l.head <- 0;
+  l.len <- 0
+
 let clear t =
   for i = 0 to t.size - 1 do
     let s = t.slots.(i) in
@@ -275,10 +421,24 @@ let clear t =
   done;
   t.size <- 0;
   t.free_top <- 0;
-  t.slots_used <- 0
+  t.slots_used <- 0;
+  clear_lane t t.arrivals;
+  clear_lane t t.hops
 
-(* Heap-invariant check for the property tests: every child sorts after its
-   parent under (time, sched, seq), and pos_of is the inverse of slots. *)
+let lane_sorted l =
+  let mask = Array.length l.l_times - 1 in
+  let ok = ref true in
+  for k = 1 to l.len - 1 do
+    let i = (l.head + k - 1) land mask and j = (l.head + k) land mask in
+    if not (key_less l.l_times.(i) l.l_scheds.(i) l.l_seqs.(i) l.l_times.(j) l.l_scheds.(j)
+              l.l_seqs.(j))
+    then ok := false
+  done;
+  !ok
+
+(* Invariant check for the property tests: every child sorts after its
+   parent under (time, sched, seq), pos_of is the inverse of slots, and
+   each lane is in ascending key order. *)
 let invariants_ok t =
   let ok = ref true in
   for i = 1 to t.size - 1 do
@@ -291,4 +451,4 @@ let invariants_ok t =
   for s = 0 to t.slots_used - 1 do
     if t.pos_of.(s) >= 0 then incr live
   done;
-  !ok && !live = t.size
+  !ok && !live = t.size && lane_sorted t.arrivals && lane_sorted t.hops

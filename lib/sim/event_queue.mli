@@ -1,21 +1,29 @@
 (** Priority queue of timestamped events: an indexed binary min-heap with
-    cancellable, reschedulable handles.
+    cancellable, reschedulable handles, beside two handle-less FIFO lanes
+    for arrivals and wire hops.
 
     Ties are broken by a key that depends only on the push sequence, never
-    on the heap's internal shape, so the simulation is deterministic. Each
+    on where an event is stored, so the simulation is deterministic. Each
     event carries the instant it was scheduled at and the id of the source
     it was scheduled for ({!push_from}); same-time events fire by that
     instant, then by source id, then in push order. {!push} is [push_from]
     at instant 0 for source 0, so with {!push} alone two events for the
-    same instant fire in the order they were pushed. The arrival lane
-    ({!push_arrival}) goes first: at equal times its events fire before
-    every other event, whenever either was pushed, and in push order among
+    same instant fire in the order they were pushed. Arrivals
+    ({!push_arrival}) go first: at equal times they fire before every
+    other event, whenever either was pushed, and in push order among
     themselves.
 
-    The heap is a structure of parallel [int] arrays, so a push performs no
-    heap allocation once the backing arrays are warm — the engine's
-    dispatch-heavy hot loop runs allocation-free when callers reuse their
-    event closures (see [bench/engine_bench.ml]). *)
+    Arrivals and hops ({!push_hop}) return no handle. Each kind has a lane,
+    a ring kept in key order: a push whose key sorts after the lane's last
+    event is appended in O(1), and any other push goes into the heap under
+    the same key. A pop takes the least of the heap top and the two lane
+    heads, so the pop order is the one a single heap would give; pushing
+    in order only spares the heap work.
+
+    The heap and the lanes are structures of parallel [int] arrays, so a
+    push performs no heap allocation once the backing arrays are warm —
+    the engine's dispatch-heavy hot loop runs allocation-free when callers
+    reuse their event closures (see [bench/engine_bench.ml]). *)
 
 type 'a t
 
@@ -42,15 +50,19 @@ val push_from : 'a t -> time:Time.t -> sched:Time.t -> src:int -> 'a -> handle
     for the same time, a smaller [sched] fires first, then a smaller
     [src], then the earlier push. *)
 
-val min_src_exn : 'a t -> int
-(** Source id of the earliest event (0 for arrivals).
-    @raise Invalid_argument when empty. *)
-
 val push_arrival : 'a t -> time:Time.t -> 'a -> unit
-(** Schedule a payload in the arrival lane. It returns no handle: an
-    arrival is neither cancelled nor moved. A source that keeps one pending
-    arrival here fires in the same order as if it had pushed its whole
-    stream before anything else. *)
+(** Schedule an arrival. It returns no handle: an arrival is neither
+    cancelled nor moved. A source that keeps one pending arrival here fires
+    in the same order as if it had pushed its whole stream before anything
+    else. *)
+
+val push_hop : 'a t -> time:Time.t -> sched:Time.t -> src:int -> 'a -> unit
+(** {!push_from} without a handle, through the hop lane: the event cannot
+    be cancelled or moved. Its key and so its firing order are exactly
+    {!push_from}'s. Pushing hops in key order — a constant delay after a
+    nondecreasing [sched], from one source — keeps them all in the lane;
+    that is a speed hint, never a condition for correctness, since a hop
+    that sorts before the lane's last one goes into the heap instead. *)
 
 val pop : 'a t -> (Time.t * 'a) option
 (** Remove and return the earliest event. *)
@@ -60,9 +72,15 @@ val min_time_exn : 'a t -> Time.t
     @raise Invalid_argument when empty. *)
 
 val pop_exn : 'a t -> 'a
-(** Allocation-free pop: returns the payload alone (read {!min_time_exn}
-    first if the timestamp is needed).
+(** Allocation-free pop: returns the payload alone; {!popped_time} and
+    {!popped_src} then name the event it was.
     @raise Invalid_argument when empty. *)
+
+val popped_time : 'a t -> Time.t
+(** Timestamp of the event the last pop removed. *)
+
+val popped_src : 'a t -> int
+(** Source id of the event the last pop removed (0 for arrivals). *)
 
 val peek_time : 'a t -> Time.t option
 (** Timestamp of the earliest event without removing it. *)
@@ -87,7 +105,9 @@ val reschedule_from : 'a t -> handle -> time:Time.t -> sched:Time.t -> src:int -
 (** {!reschedule} with the key of {!push_from}. *)
 
 val clear : 'a t -> unit
-(** Drop every pending event (their handles all go stale). *)
+(** Drop every pending event, lanes included (their handles all go
+    stale). *)
 
 val invariants_ok : 'a t -> bool
-(** Internal consistency check (heap order, index maps); for tests. *)
+(** Internal consistency check (heap order, index maps, each lane in key
+    order); for tests. *)
