@@ -7,9 +7,22 @@
     free-list heads, ArgBuf lines); plain function execution is charged as
     opaque compute time by the workload model.
 
-    An L1 hit allocates nothing: it probes the L1 by slot and returns the
-    precomputed hit latency. A miss allocates its boxed latency and, on a
-    line's first touch, the line's directory entry. *)
+    The coherence state is flat int arrays in this module, so a probe
+    crosses no module boundary and chases no pointer:
+    - every core's L1 ways in one array, [core * lines + set * ways + way],
+      each word [line lsl 2 lor state] (M, E or S) or -1 when empty, with
+      an LRU tick array beside it; a fill takes the first empty way, else
+      the least recently used;
+    - the directory in one open-addressing array (linear probing, grown at
+      3/4 load), [2 + ceil(cores / 62)] ints per slot: the line, a word
+      packing home slice, owner and LLC presence, then the sharer words
+      ({!Jord_util.Bitset});
+    - a copy of {!Topology}'s one-way latency table.
+
+    An L1 hit allocates nothing, and a miss allocates only its boxed
+    latency; a line's first touch adds the homing call's option and, at
+    3/4 load, a doubled directory. Every access and {!home_of} raise
+    [Invalid_argument] for a core outside [\[0, cores)]. *)
 
 type stats = {
   mutable l1_hits : int;
@@ -25,8 +38,9 @@ type t
 
 val create : Topology.t -> t
 (** @raise Invalid_argument if the configured line size is not a power of
-    two, or the L1 geometry has a set count that is not one (see
-    {!Cache.create}). *)
+    two or is below 4 bytes, or if the L1 geometry is not positive, does not
+    divide into whole sets of [l1_ways] lines, or has a set count that is
+    not a power of two (a line's set is a mask of its index). *)
 
 val topology : t -> Topology.t
 val config : t -> Config.t
@@ -56,12 +70,18 @@ val register_metrics :
     pull collectors over {!stats}; [labels] (e.g. a server id) are
     prepended to every instance. Zero hot-path cost. *)
 
-val sharers : t -> addr:int -> Jord_util.Bitset.t
-(** Cores whose L1 may hold the address' line — the directory's view, used by
-    the VTD when it must fall back on the coherence directory (victim-cache
-    behaviour, paper §4.2). This is the directory's own set (an empty one
-    for a line never touched): walk it with {!Jord_util.Bitset.next_member}
-    before the next access, and do not modify it. *)
+val sharer_slot : t -> addr:int -> int
+(** The directory slot of the address' line, for {!next_sharer}, or [-1]
+    for a line never touched. It stays valid until the next access or
+    {!home_of}, which may add a line and move every slot. *)
+
+val next_sharer : t -> int -> int -> int
+(** [next_sharer t slot c] is the least core [>= c] whose L1 may hold the
+    slot's line (the directory's view), or [-1]; always [-1] for slot
+    [-1]. Walking from [0], then from [m + 1] after each core [m], visits
+    the sharers in ascending order without allocating. The VTD falls back
+    on this walk when it lost a translation's entry (victim-cache
+    behaviour, paper §4.2). *)
 
 val line_of : t -> int -> int
 (** Line index of a byte address.

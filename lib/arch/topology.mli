@@ -4,8 +4,10 @@
     one LLC slice (and its directory + VTD slice). Physical addresses are
     interleaved across slices at cache-line granularity.
 
-    {!create} lays the cores out once, in per-core tile and socket tables;
-    every query below reads them, so a core outside [0, cores) raises
+    {!create} lays the cores out once, in per-core tile and socket tables,
+    and fills the cores x cores one-way latency table from the hop and
+    socket formula ([8 * cores^2] bytes: 512 KB at 256 cores). Every query
+    below reads those tables, so a core outside [0, cores) raises
     [Invalid_argument]. *)
 
 type t
@@ -28,9 +30,9 @@ val hops : t -> int -> int -> int
 
 val latency_ns : t -> src:int -> dst:int -> float
 (** One-way message latency between two cores' tiles, including the
-    inter-socket link when they live on different sockets. Reads per-core
-    tile and socket tables and a latency-by-hop-count table built by
-    {!create}, so it allocates only its boxed result. *)
+    inter-socket link when they live on different sockets: a range check
+    and one load from the table {!create} built, so it allocates only its
+    boxed result. *)
 
 val slice_of_line : t -> ?requester:int -> int -> int
 (** Home core/tile (slice index) of a line index (see

@@ -226,23 +226,27 @@ let access t ~core ~va ~access:acc ~kind ~bytes =
   in
   lat +. data
 
+(* The least sharer >= [c] of a shootdown's set: the VTD slot's when it
+   tracks the translation, else (victim-cache fallback) every coherence
+   sharer of the VTE line, pessimistically treated as a translation
+   sharer. A toplevel function, so the walk allocates no closure. *)
+let next_sharer t ~vslot ~dslot c =
+  if vslot >= 0 then Vtd.next_sharer t.vtd vslot c
+  else Jord_arch.Memsys.next_sharer t.memsys dslot c
+
 let shootdown t ~core ~va =
   t.shootdowns <- t.shootdowns + 1;
   let tag = canonical_tag t va in
-  let slot = Vtd.write_slot t.vtd ~vte_addr:tag in
-  let cores =
-    if slot >= 0 then Vtd.sharers t.vtd slot
-    else
-      (* Victim-cache fallback: every coherence sharer of the VTE line is
-         pessimistically treated as a translation sharer. *)
-      Jord_arch.Memsys.sharers t.memsys ~addr:tag
-  in
-  let topo = Jord_arch.Memsys.topology t.memsys in
+  (* [home_of] may add the line's directory entry, which moves every
+     directory slot: take it before locating the fallback's slot. *)
   let home = Jord_arch.Memsys.home_of t.memsys ~addr:tag ~requester:core in
+  let vslot = Vtd.write_slot t.vtd ~vte_addr:tag in
+  let dslot = if vslot >= 0 then -1 else Jord_arch.Memsys.sharer_slot t.memsys ~addr:tag in
+  let topo = Jord_arch.Memsys.topology t.memsys in
   (* Walk the sharer set in place, in ascending core order; nothing below
      changes it before [Vtd.note_write]. *)
   let worst = ref 0.0 in
-  let sharer = ref (Jord_util.Bitset.next_member cores 0) in
+  let sharer = ref (next_sharer t ~vslot ~dslot 0) in
   while !sharer >= 0 do
     let c = !sharer in
     let mmu = t.mmus.(c) in
@@ -252,7 +256,7 @@ let shootdown t ~core ~va =
       let d = 2.0 *. Jord_arch.Topology.latency_ns topo ~src:home ~dst:c in
       if d > !worst then worst := d
     end;
-    sharer := Jord_util.Bitset.next_member cores (c + 1)
+    sharer := next_sharer t ~vslot ~dslot (c + 1)
   done;
   Vtd.note_write t.vtd ~vte_addr:tag;
   t.acc.shootdown_ns <- t.acc.shootdown_ns +. !worst;

@@ -1,3 +1,5 @@
+module Bitset = Jord_util.Bitset
+
 type stats = {
   mutable registrations : int;
   mutable evictions : int;
@@ -5,32 +7,31 @@ type stats = {
   mutable fallback_shootdowns : int;
 }
 
-(* Slots are parallel arrays, [ways] consecutive slots per set. A slot's
-   sharer set is created on its first registration; until then it holds
-   [no_sharers], which stays empty. *)
+(* Slots are parallel arrays, [ways] consecutive slots per set; slot [i]'s
+   sharer set is the [words] words of [sharers] from [i * words]. *)
 type t = {
   sets : int;
   ways : int;
   cores : int;
+  words : int;
   tags : int array; (* VTE address, -1 = empty *)
   lru : int array;
-  sharer_sets : Jord_util.Bitset.t array;
-  no_sharers : Jord_util.Bitset.t;
+  sharers : int array;
   mutable tick : int;
   stats : stats;
 }
 
 let create ?(sets = 512) ?(ways = 8) ~cores () =
   if sets <= 0 || ways <= 0 then invalid_arg "Vtd.create";
-  let no_sharers = Jord_util.Bitset.create cores in
+  let words = Bitset.words_for cores in
   {
     sets;
     ways;
     cores;
+    words;
     tags = Array.make (sets * ways) (-1);
     lru = Array.make (sets * ways) 0;
-    sharer_sets = Array.make (sets * ways) no_sharers;
-    no_sharers;
+    sharers = Array.make (sets * ways * words) 0;
     tick = 0;
     stats =
       { registrations = 0; evictions = 0; tracked_shootdowns = 0; fallback_shootdowns = 0 };
@@ -38,6 +39,9 @@ let create ?(sets = 512) ?(ways = 8) ~cores () =
 
 let stats t = t.stats
 let set_of t vte_addr = (vte_addr / Va.vte_bytes) mod t.sets
+
+let check_core t core =
+  if core < 0 || core >= t.cores then invalid_arg "Vtd: core out of range"
 
 (* Slot tracking [vte_addr], or -1; a toplevel loop, not a local closure,
    so that a probe allocates nothing. *)
@@ -54,21 +58,12 @@ let touch t i =
   t.tick <- t.tick + 1;
   t.lru.(i) <- t.tick
 
-(* The sharer set of slot [i], created on first use. *)
-let sharer_set t i =
-  let s = t.sharer_sets.(i) in
-  if s != t.no_sharers then s
-  else begin
-    let s = Jord_util.Bitset.create t.cores in
-    t.sharer_sets.(i) <- s;
-    s
-  end
-
 let note_read t ~vte_addr ~core =
+  check_core t core;
   t.stats.registrations <- t.stats.registrations + 1;
   let i = find t vte_addr in
   if i >= 0 then begin
-    Jord_util.Bitset.add (sharer_set t i) core;
+    Bitset.add t.sharers (i * t.words) core;
     touch t i
   end
   else begin
@@ -93,9 +88,8 @@ let note_read t ~vte_addr ~core =
     let i = !victim in
     if t.tags.(i) <> -1 then t.stats.evictions <- t.stats.evictions + 1;
     t.tags.(i) <- vte_addr;
-    let s = sharer_set t i in
-    Jord_util.Bitset.clear s;
-    Jord_util.Bitset.add s core;
+    Bitset.clear t.sharers (i * t.words) t.words;
+    Bitset.add t.sharers (i * t.words) core;
     touch t i
   end
 
@@ -105,17 +99,18 @@ let write_slot t ~vte_addr =
   else t.stats.fallback_shootdowns <- t.stats.fallback_shootdowns + 1;
   i
 
-let sharers t i = t.sharer_sets.(i)
+let next_sharer t i core = Bitset.next_member t.sharers (i * t.words) t.words core
 
 let note_write t ~vte_addr =
   let i = find t vte_addr in
   if i >= 0 then begin
     t.tags.(i) <- -1;
-    Jord_util.Bitset.clear t.sharer_sets.(i)
+    Bitset.clear t.sharers (i * t.words) t.words
   end
 
 let drop_core t ~vte_addr ~core =
+  check_core t core;
   let i = find t vte_addr in
-  if i >= 0 then Jord_util.Bitset.remove t.sharer_sets.(i) core
+  if i >= 0 then Bitset.remove t.sharers (i * t.words) core
 
 let tracked t = Array.fold_left (fun acc a -> if a <> -1 then acc + 1 else acc) 0 t.tags

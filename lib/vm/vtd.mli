@@ -7,7 +7,13 @@
     has bounded capacity), the write falls back on the cache-coherence
     directory's sharers for the VTE line — the directory acts as a victim
     cache for the VTD, pessimistically treating every VTE-line sharer as a
-    translation sharer. *)
+    translation sharer.
+
+    Slots are parallel int arrays, [ways] consecutive slots per set; every
+    slot's sharer set is [ceil(cores / 62)] words of one shared array
+    ({!Jord_util.Bitset}), so registering a reader or walking the sharers
+    allocates nothing. {!note_read} and {!drop_core} raise
+    [Invalid_argument] for a core outside [\[0, cores)]. *)
 
 type t
 
@@ -31,10 +37,12 @@ val write_slot : t -> vte_addr:int -> int
     shootdown; or [-1], counted as a fallback, when the VTD lost the entry
     and the caller must fall back on the coherence directory. *)
 
-val sharers : t -> int -> Jord_util.Bitset.t
-(** Cores whose VLBs hold the translation tracked in a slot returned by
-    {!write_slot}: the VTD's own set, to be walked in place (with
-    {!Jord_util.Bitset.next_member}) before {!note_write} clears it. *)
+val next_sharer : t -> int -> int -> int
+(** [next_sharer t slot c] is the least core [>= c] whose VLB holds the
+    translation tracked in a slot returned by {!write_slot}, or [-1].
+    Walking from [0], then from [m + 1] after each core [m], visits the
+    sharers in ascending order without allocating; walk before
+    {!note_write} clears them. *)
 
 val note_write : t -> vte_addr:int -> unit
 (** Clear tracking after the invalidations for a VTE write went out. *)

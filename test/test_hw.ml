@@ -102,6 +102,42 @@ let test_shootdown_local_only_is_free () =
   let ns = Hw.shootdown hw ~core:0 ~va in
   Alcotest.(check (float 1e-9)) "local invalidation free" 0.0 ns
 
+(* A shootdown walks its sharer set in place, on the tracked path and on
+   the directory fallback alike: it allocates at most one boxed latency per
+   remote sharer whose VLB held the translation, plus its result, and no
+   closure, record or set. *)
+let test_shootdown_allocation () =
+  let hw = make_hw () in
+  let va = install hw ~index:7 ~bytes:4096 ~global_perm:(Some Perm.rw) [] in
+  let sharers = [ 0; 3; 9; 17; 30; 31 ] in
+  let warm () =
+    List.iter
+      (fun core -> ignore (Hw.translate hw ~core ~va ~access:Perm.Read ~kind:`Data))
+      sharers
+  in
+  let words () =
+    let before = Gc.minor_words () in
+    ignore (Sys.opaque_identity (Hw.shootdown hw ~core:0 ~va));
+    Gc.minor_words () -. before
+  in
+  let bound = float_of_int ((2 * (List.length sharers - 1)) + 2) in
+  warm ();
+  let tracked = words () in
+  Alcotest.(check bool) (Printf.sprintf "tracked: %.0f words" tracked) true (tracked <= bound);
+  warm ();
+  let tag = Va.vte_addr_at cfg (Va.vte_index_of_va cfg va) in
+  Vtd.note_write (Hw.vtd hw) ~vte_addr:tag;
+  let fallback = words () in
+  Alcotest.(check bool) (Printf.sprintf "fallback: %.0f words" fallback) true (fallback <= bound);
+  let stats = Vtd.stats (Hw.vtd hw) in
+  Alcotest.(check (pair int int)) "one shootdown down each path" (1, 1)
+    (stats.Vtd.tracked_shootdowns, stats.Vtd.fallback_shootdowns);
+  List.iter
+    (fun core ->
+      Alcotest.(check bool) (Printf.sprintf "core %d re-walks" core) true
+        (Hw.translate hw ~core ~va ~access:Perm.Read ~kind:`Data > 0.0))
+    sharers
+
 let test_overflow_chase_charged () =
   let hw = make_hw () in
   let sc = Size_class.of_size 4096 in
@@ -169,6 +205,7 @@ let suite =
     Alcotest.test_case "shootdown invalidates remote VLB" `Quick
       test_shootdown_invalidates_remote_vlb;
     Alcotest.test_case "local shootdown free" `Quick test_shootdown_local_only_is_free;
+    Alcotest.test_case "shootdown walks allocate no set" `Quick test_shootdown_allocation;
     Alcotest.test_case "overflow pointer chase" `Quick test_overflow_chase_charged;
     Alcotest.test_case "access charges data" `Quick test_access_charges_data;
     Alcotest.test_case "b-tree walk dearer than plain" `Quick test_btree_walk_costs_more;

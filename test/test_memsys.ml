@@ -3,7 +3,7 @@ open Jord_arch
 let make () = Memsys.create (Topology.create Config.default)
 
 let l1_hit_ns = 0.5 (* 2 cycles at 4 GHz *)
-let sharers m ~addr = Jord_util.Bitset.to_list (Memsys.sharers m ~addr)
+let sharers m ~addr = Option.value ~default:[] (Test_memsys_props.sharer_list m ~addr)
 
 let test_read_then_hit () =
   let m = make () in
@@ -100,6 +100,71 @@ let test_eviction_updates_directory () =
   let evicted_sharers = sharers m ~addr:0x100000 in
   Alcotest.(check (list int)) "evicted line dropped from directory" [] evicted_sharers
 
+(* A core outside [0, cores) is refused by every access, not read from
+   the flat arrays, whose next row is another core's. *)
+let test_core_range () =
+  let m = make () in
+  ignore (Memsys.read m ~core:0 ~addr:0x1000);
+  List.iter
+    (fun core ->
+      let refused name f =
+        match f () with
+        | _ -> Alcotest.failf "%s accepted core %d" name core
+        | exception Invalid_argument _ -> ()
+      in
+      refused "read" (fun () -> Memsys.read m ~core ~addr:0x1000);
+      refused "write" (fun () -> Memsys.write m ~core ~addr:0x1000);
+      refused "atomic" (fun () -> Memsys.atomic m ~core ~addr:0x1000);
+      refused "read_block" (fun () -> Memsys.read_block m ~core ~addr:0x1000 ~bytes:256);
+      refused "home_of (known line)" (fun () -> Memsys.home_of m ~addr:0x1000 ~requester:core);
+      refused "home_of (new line)" (fun () -> Memsys.home_of m ~addr:0x7000 ~requester:core))
+    [ -1; 32; 33; 64 ];
+  Alcotest.(check int) "refused accesses leave no trace" 1
+    ((Memsys.stats m).Memsys.l1_misses + (Memsys.stats m).Memsys.l1_hits)
+
+let minor_words f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+(* Warm L1 hits and sharer walks allocate nothing; a miss on a line the
+   directory already holds allocates only its boxed latency (HEAD before
+   the flat arrays: 8 words for a shared read miss, 10 for a write miss
+   invalidating two sharers, 8 for a forward, 8 for an upgrade). *)
+let test_allocation () =
+  let m = make () in
+  ignore (Memsys.read m ~core:0 ~addr:0x1000);
+  ignore (Memsys.write m ~core:1 ~addr:0x2000);
+  let hits =
+    minor_words (fun () ->
+        for _ = 1 to 1000 do
+          ignore (Sys.opaque_identity (Memsys.read m ~core:0 ~addr:0x1000));
+          ignore (Sys.opaque_identity (Memsys.write m ~core:1 ~addr:0x2000))
+        done)
+  in
+  Alcotest.(check (float 0.0)) "2000 warm hits" 0.0 hits;
+  let slot = Memsys.sharer_slot m ~addr:0x1000 in
+  let walks =
+    minor_words (fun () ->
+        for _ = 1 to 1000 do
+          let c = ref (Memsys.next_sharer m slot 0) in
+          while !c >= 0 do
+            c := Memsys.next_sharer m slot (!c + 1)
+          done
+        done)
+  in
+  Alcotest.(check (float 0.0)) "1000 sharer walks" 0.0 walks;
+  let boxed = 2.0 (* one boxed float: header and payload *) in
+  let miss f = minor_words (fun () -> ignore (Sys.opaque_identity (f ()))) in
+  Alcotest.(check (float 0.0)) "shared read miss" boxed
+    (miss (fun () -> Memsys.read m ~core:2 ~addr:0x1000));
+  Alcotest.(check (float 0.0)) "write miss invalidating two sharers" boxed
+    (miss (fun () -> Memsys.write m ~core:3 ~addr:0x1000));
+  Alcotest.(check (float 0.0)) "forward" boxed
+    (miss (fun () -> Memsys.read m ~core:4 ~addr:0x1000));
+  Alcotest.(check (float 0.0)) "upgrade" boxed
+    (miss (fun () -> Memsys.write m ~core:4 ~addr:0x1000))
+
 let suite =
   [
     Alcotest.test_case "read then hit" `Quick test_read_then_hit;
@@ -112,4 +177,6 @@ let suite =
     Alcotest.test_case "read_block overlap" `Quick test_read_block_overlap;
     Alcotest.test_case "distance matters" `Quick test_distance_matters;
     Alcotest.test_case "eviction updates directory" `Quick test_eviction_updates_directory;
+    Alcotest.test_case "core range" `Quick test_core_range;
+    Alcotest.test_case "hits, walks and misses allocate" `Quick test_allocation;
   ]
