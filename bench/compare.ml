@@ -8,7 +8,8 @@
    Gate semantics (see Jord_util.Bench_json): deterministic "count" metrics
    out of tolerance are hard failures (exit 1); host wall-clock "time"
    metrics are advisory only. A baseline experiment with no report in the
-   directory is a hard failure too.
+   directory is a hard failure too, and so is a count metric or a whole
+   report that the baseline does not hold.
 
    --write-baseline refreshes the baseline from the reports in --dir —
    check the diff in and say why the numbers moved. *)
@@ -82,28 +83,7 @@ let () =
           Printf.eprintf "compare: %s: %s\n" path msg;
           exit 2
       | Ok b ->
-          let verdicts =
-            List.concat_map
-              (fun (base_doc : B.doc) ->
-                let report = Filename.concat dir (B.filename base_doc.B.experiment) in
-                if Sys.file_exists report then
-                  B.compare_docs ~default_tolerance:b.B.default_tolerance
-                    ~baseline:base_doc ~current:(read_doc report) ()
-                else
-                  [
-                    {
-                      B.v_experiment = base_doc.B.experiment;
-                      v_metric = "<report>";
-                      v_kind = B.Count;
-                      v_baseline = nan;
-                      v_current = nan;
-                      v_deviation = infinity;
-                      v_allowed = b.B.default_tolerance;
-                      v_status = B.Missing;
-                    };
-                  ])
-              b.B.experiments
-          in
+          let verdicts = B.compare_baseline b (docs_in_dir ()) in
           print_string (B.render_verdicts verdicts);
           let advisories =
             List.length (List.filter (fun v -> v.B.v_status = B.Advisory) verdicts)
@@ -113,7 +93,8 @@ let () =
               "%d wall-clock metric(s) out of tolerance (advisory only)\n" advisories;
           if B.has_failure verdicts then begin
             prerr_endline
-              "perf regression: deterministic metric(s) moved beyond tolerance";
+              "perf regression: deterministic metric(s) moved beyond tolerance, \
+               missing, or not pinned by the baseline";
             exit 1
           end
           else print_endline "perf-regression gate: ok")

@@ -421,13 +421,13 @@ let report_slo out text body =
 
 let print_wall ~t0 ?shards events =
   Printf.printf "[simulated %d events in %.1fs wall%s]\n" events
-    (Unix.gettimeofday () -. t0)
+    (Jord_util.Clock.since_s t0)
     (match shards with Some s -> Printf.sprintf ", shards=%d" s | None -> "")
 
 (* --- run: one server or a cluster --- *)
 
 let run_servers ~app ~rate ~duration ~warmup ~config ~cluster:c ~out =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Jord_util.Clock.now_ns () in
   let tel = telemetry out.sample_us in
   let watch = out.metrics_out <> None in
   (* The online SLO plane rides the tracer's emit sink, so --slo forces a
@@ -655,7 +655,7 @@ let run_fleet ~app ~rate ~duration ~size ~shards ~net (f : fleet) out =
       shards;
     }
   in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Jord_util.Clock.now_ns () in
   let t = try Jord_fleet.Fleet.create cfg ~app with Invalid_argument m -> fleet_fail "%s" m in
   let tracer = Option.map (fun _ -> Jord_obsv.Ftrace.create ()) out.trace_out in
   Jord_fleet.Fleet.run ~slo:objectives ?tracer t ~shape ~duration_us:duration;
@@ -783,16 +783,14 @@ let bench_cmd =
   let run names quick json_out =
     List.iter
       (fun name ->
-        match Jord_exp.Benchmarks.run_one ~quick name with
-        | Error msg -> invalid_arg msg
-        | Ok doc ->
-            print_string (Jord_exp.Benchmarks.render doc);
-            print_newline ();
-            Option.iter
-              (fun dir ->
-                Printf.printf "wrote %s\n"
-                  (write_with dir (fun dir -> Jord_util.Bench_json.write_dir ~dir doc)))
-              json_out)
+        let doc = Jord_exp.Benchmarks.run ~quick name in
+        print_string (Jord_exp.Benchmarks.render doc);
+        print_newline ();
+        Option.iter
+          (fun dir ->
+            Printf.printf "wrote %s\n"
+              (write_with dir (fun dir -> Jord_util.Bench_json.write_dir ~dir doc)))
+          json_out)
       names
   in
   cmd "bench" ~doc:"Run the structured benchmark suite (machine-readable BENCH_*.json)"

@@ -10,13 +10,25 @@
    Allocation metrics get 50%: minor words per op are stable for a given
    compiler but may shift across OCaml versions. Minor words per event of
    the detailed server and of the sequential fleet get 10%, so that losing
-   a tenth of the allocation-free hot path fails the gate. *)
+   a tenth of the allocation-free hot path fails the gate.
+
+   Every wall time reads Jord_util.Clock (CLOCK_MONOTONIC). A run measured
+   for both reads the minor-heap words inside the clock window, and builds
+   its configs and parses its specs before either window opens, so the
+   words counted are the run's own. *)
 
 module B = Jord_util.Bench_json
+module Clock = Jord_util.Clock
 
 let det_tol = 0.001
 let alloc_tol = 0.5
 let hot_path_alloc_tol = 0.1
+
+(* Deterministic counts at [det_tol]: a float, an int, and a hard gate that
+   reads 1.0 iff [ok]. *)
+let det name unit_ v = B.count ~tolerance:det_tol ~name ~unit_ v
+let det_int name unit_ n = det name unit_ (float_of_int n)
+let flag name ok = det name "bool" (if ok then 1.0 else 0.0)
 
 (* Minor-heap words per simulated event over a seeded single-domain run,
    set-up included: a count, like the event total it divides by. *)
@@ -24,77 +36,202 @@ let words_per_event ~words ~events =
   B.count ~tolerance:hot_path_alloc_tol ~name:"minor_words_per_event" ~unit_:"words/event"
     (words /. float_of_int (Int.max 1 events))
 
+(* One measured run: [f]'s result, its wall seconds and the minor-heap
+   words it allocated on the calling domain. *)
+let measured f =
+  let t0 = Clock.now_ns () in
+  let w0 = Gc.minor_words () in
+  let r = f () in
+  let words = Gc.minor_words () -. w0 in
+  (r, Clock.since_s t0, words)
+
+let repeat iters f () =
+  for _ = 1 to iters do
+    f ()
+  done
+
 (* Wall-clock ns/op over [reps] repetitions of [iters] calls (one warmup
    repetition is discarded). *)
 let time_ns ~reps ~iters f =
-  let rep () =
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to iters do
-      f ()
-    done;
-    (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int iters
-  in
+  let rep () = snd (Clock.timed (repeat iters f)) *. 1e9 /. float_of_int iters in
   ignore (rep ());
   List.init reps (fun _ -> rep ())
 
-(* Minor-heap words allocated per call, measured on the calling domain. *)
+(* Minor-heap words allocated per call, after one warmup call. *)
 let minor_words ~iters f =
   f ();
-  let w0 = Gc.minor_words () in
-  for _ = 1 to iters do
-    f ()
-  done;
-  (Gc.minor_words () -. w0) /. float_of_int iters
+  let (), _, words = measured (repeat iters f) in
+  words /. float_of_int iters
+
+(* [reps] alternating pairs of runs, [a] before [b] in each. *)
+let pairs ~reps a b =
+  List.init reps (fun _ ->
+      let x = a () in
+      (x, b ()))
+
+(* Whether both legs of every pair agree on signature [f], compared with
+   [compare] so that a NaN field agrees with itself. *)
+let agree f pairs = List.for_all (fun (a, b) -> compare (f a) (f b) = 0) pairs
+
+(* One advisory row of [f] over every run, or pair of runs. *)
+let per_run name unit_ f runs = B.metric ~name ~unit_ (List.map f runs)
+
+(* The events/s of both legs of every pair, each leg (events, wall
+   seconds), as rows [a] and [b], and row [ratio]: the second leg's speedup
+   in events/s, or with [slowdown] its wall seconds over the first's
+   (1.0 = free). *)
+let rates ?(slowdown = false) (a, b, ratio) pairs =
+  let rate (events, s) = float_of_int events /. Float.max s 1e-9 in
+  [
+    per_run a "events/s" (fun (x, _) -> rate x) pairs;
+    per_run b "events/s" (fun (_, y) -> rate y) pairs;
+    per_run ratio "ratio"
+      (fun (x, y) ->
+        if slowdown then snd y /. Float.max (snd x) 1e-9 else rate y /. Float.max (rate x) 1e-9)
+      pairs;
+  ]
 
 let reps quick = if quick then 5 else 9
 
-(* --- engine: event-queue hot path --- *)
+let parse parse spec = match parse spec with Ok v -> v | Error m -> failwith (spec ^ ": " ^ m)
+
+(* --- engine: the event queue, the dispatch loop and the epoch loop --- *)
+
+module Engine = Jord_sim.Engine
+module Epoch = Jord_sim.Epoch
+
+(* [lanes] always-armed events, each rescheduling itself after a fixed
+   per-lane gap: the shape of the orchestrator dispatch loop and the
+   executor poll loop, which dominate the queue. *)
+let lanes = 64
+let gap lane = 1 + (lane * 7 mod 97)
+
+(* Arms [n] lanes on [e], lane [i] gapped as lane [first + i]. A fire calls
+   [fire i eng] and re-arms its lane while that holds. [fresh] allocates a
+   closure per event, as a naive call site does; otherwise each lane reuses
+   one closure for the whole run, the engine's allocation-free fast path. *)
+let arm ?(fresh = false) ?(first = 0) e n fire =
+  let fns = Array.make n (fun (_ : Engine.t) -> ()) in
+  let after i = gap (first + i) in
+  Array.iteri
+    (fun i _ ->
+      fns.(i) <-
+        (fun eng ->
+          if fire i eng then
+            Engine.schedule eng ~after:(after i)
+              (if fresh then fun eng -> fns.(i) eng else fns.(i))))
+    fns;
+  Array.iteri (fun i fn -> Engine.schedule e ~after:(after i) fn) fns
+
+(* Events fired by one dispatch run of [total] events. *)
+let dispatch ~fresh total =
+  let e = Engine.create () and fired = ref 0 in
+  arm ~fresh e lanes (fun _ _ ->
+      incr fired;
+      !fired < total);
+  Engine.run e;
+  !fired
+
+(* The conservative parallel core on the same event shape: [epoch_shards]
+   shards of [lanes / epoch_shards] lanes, and a courier that hops shard to
+   shard through the mailbox every epoch, so the barrier path always runs.
+   Returns the events processed and a checksum of the fire times, which a
+   pooled run must reproduce, and the epoch loop's wall seconds. Shard [s]'s
+   slots of [fired] and [sums] are touched only by its own domain (the
+   barrier's fork/join orders the courier's handoff). *)
+let epoch_shards = 4
+let epoch_lookahead = 4096
+
+let epoch ~pooled total () =
+  let epochs = Epoch.create ~shards:epoch_shards ~lookahead:epoch_lookahead in
+  let fired = Array.make epoch_shards 0 and sums = Array.make epoch_shards 0 in
+  let per_shard = lanes / epoch_shards in
+  for s = 0 to epoch_shards - 1 do
+    arm ~first:(s * per_shard) (Epoch.engine epochs s) per_shard (fun lane eng ->
+        fired.(s) <- fired.(s) + 1;
+        sums.(s) <- sums.(s) + ((Engine.now eng * 31) lxor lane);
+        fired.(s) < total / epoch_shards)
+  done;
+  let hops = ref 2_000 in
+  let rec courier s eng =
+    let dst = (s + 1) mod epoch_shards in
+    sums.(s) <- sums.(s) + (Engine.now eng * 7);
+    decr hops;
+    if !hops > 0 then
+      Jord_sim.Shard.post (Epoch.shard epochs s) ~dst
+        ~at:(Engine.now eng + epoch_lookahead)
+        ~sid:s (courier dst)
+  in
+  Engine.schedule (Epoch.engine epochs 0) ~after:1 (courier 0);
+  let (), wall_s =
+    Clock.timed (fun () ->
+        if pooled then
+          Jord_par.Pool.with_pool ~jobs:epoch_shards (fun pool ->
+              let runner f n =
+                ignore (Jord_par.Pool.parmap pool f (List.init n Fun.id) : unit list)
+              in
+              Epoch.run ~runner epochs)
+        else Epoch.run epochs)
+  in
+  ((Epoch.processed epochs, Array.fold_left ( lxor ) 0 sums), wall_s)
 
 let engine ~quick =
-  let iters = if quick then 20_000 else 60_000 in
+  let r = reps quick and iters = if quick then 20_000 else 60_000 in
+  (* 16 pushes then pops until empty, each batch on a fresh queue: at
+     scattered times through the heap, or as wire hops — one source, a
+     constant delay after a rising clock — which append to the hop lane. *)
   let counter = ref 0 in
-  let batch () =
+  let batch push () =
     let q = Jord_sim.Event_queue.create () in
     incr counter;
     for i = 0 to 15 do
-      ignore
-        (Jord_sim.Event_queue.push q ~time:((!counter + i) mod 97) i
-          : Jord_sim.Event_queue.handle)
+      push q (!counter + i) i
     done;
     while Jord_sim.Event_queue.pop q <> None do
       ()
     done
   in
-  (* The same batch as wire hops: one source, a constant delay after a
-     rising clock, so every push appends to the hop lane. *)
-  let hop_batch () =
-    let q = Jord_sim.Event_queue.create () in
-    incr counter;
-    for i = 0 to 15 do
-      Jord_sim.Event_queue.push_hop q ~time:(!counter + i + 97) ~sched:(!counter + i) ~src:0 i
-    done;
-    while Jord_sim.Event_queue.pop q <> None do
-      ()
-    done
+  let heap =
+    batch (fun q t i ->
+        ignore (Jord_sim.Event_queue.push q ~time:(t mod 97) i : Jord_sim.Event_queue.handle))
   in
-  let per_batch = time_ns ~reps:(reps quick) ~iters batch in
-  let words = minor_words ~iters:2_000 batch in
-  let hop_per_batch = time_ns ~reps:(reps quick) ~iters hop_batch in
-  let hop_words = minor_words ~iters:2_000 hop_batch in
-  {
-    B.experiment = "engine";
-    metrics =
-      [
-        B.metric ~name:"queue_push_pop_x16" ~unit_:"ns/batch" per_batch;
-        B.count ~tolerance:alloc_tol ~name:"queue_push_pop_x16_minor_words"
-          ~unit_:"words/batch" words;
-        B.metric ~name:"hop_push_pop_x16" ~unit_:"ns/batch" hop_per_batch;
-        B.count ~tolerance:alloc_tol ~name:"hop_push_pop_x16_minor_words"
-          ~unit_:"words/batch" hop_words;
-      ];
-  }
+  let hop =
+    batch (fun q t i -> Jord_sim.Event_queue.push_hop q ~time:(t + 97) ~sched:t ~src:0 i)
+  in
+  let per_batch = time_ns ~reps:r ~iters heap in
+  let words = minor_words ~iters:2_000 heap in
+  let hop_per_batch = time_ns ~reps:r ~iters hop in
+  let hop_words = minor_words ~iters:2_000 hop in
+  let total = if quick then 200_000 else 1_000_000 in
+  ignore (dispatch ~fresh:false 10_000);
+  let fresh = measured (fun () -> dispatch ~fresh:true total) in
+  let reused = List.init r (fun _ -> measured (fun () -> dispatch ~fresh:false total)) in
+  let per_event (fired, _, words) = words /. float_of_int fired in
+  ignore (epoch ~pooled:false (total / 10) ());
+  let legs = pairs ~reps:r (epoch ~pooled:false total) (epoch ~pooled:true total) in
+  let speedup =
+    per_run "epoch_speedup" "ratio" (fun ((_, a), (_, b)) -> a /. Float.max b 1e-9) legs
+  in
+  let alloc name unit_ v = B.count ~tolerance:alloc_tol ~name ~unit_ v in
+  [
+    B.metric ~name:"queue_push_pop_x16" ~unit_:"ns/batch" per_batch;
+    alloc "queue_push_pop_x16_minor_words" "words/batch" words;
+    B.metric ~name:"hop_push_pop_x16" ~unit_:"ns/batch" hop_per_batch;
+    alloc "hop_push_pop_x16_minor_words" "words/batch" hop_words;
+    (* A closure per event costs its few words; reused closures leave only
+       the engine's set-up, amortized over the run. *)
+    alloc "dispatch_fresh_minor_words" "words/event" (per_event fresh);
+    alloc "dispatch_reused_minor_words" "words/event" (per_event (List.hd reused));
+    per_run "dispatch_reused" "ns/event" (fun (n, s, _) -> s *. 1e9 /. float_of_int n) reused;
+    (* Hard gate: the pooled epoch loop runs the sequential schedule. *)
+    flag "epoch_determinism_ok" (agree fst legs);
+    (* With a core per shard, the pooled loop must beat one domain. *)
+    flag "epoch_parallel_ok"
+      (Domain.recommended_domain_count () < epoch_shards || speedup.B.value > 1.0);
+    speedup;
+  ]
 
-(* --- vm: VLB / VMA-store / memsys hot paths --- *)
+(* --- vm: VLB / VMA-store / memsys / PrivLib hot paths --- *)
 
 let vm ~quick =
   let cfg = Jord_vm.Va.default_config in
@@ -116,123 +253,95 @@ let vm ~quick =
     Jord_vm.Vlb.fill vlb ~vte_addr:i (mk_vte i)
   done;
   let vlb_probe = Jord_vm.Vte.base (mk_vte 7) + 5 in
-  let memsys =
-    Jord_arch.Memsys.create (Jord_arch.Topology.create Jord_arch.Config.default)
+  let memsys () = Jord_arch.Memsys.create (Jord_arch.Topology.create Jord_arch.Config.default) in
+  let mem = memsys () in
+  (* PrivLib on a memory system of its own, so its traffic cannot warm or
+     evict the line memsys_read_hit reads. *)
+  let priv =
+    let hw =
+      Jord_vm.Hw.create ~memsys:(memsys ()) ~store:(Jord_vm.Vma_store.plain cfg) ~va_cfg:cfg ()
+    in
+    Jord_privlib.Privlib.create ~hw ~os:(Jord_privlib.Os_facade.create ())
   in
   let iters = if quick then 50_000 else 200_000 in
-  let r = reps quick in
-  let t name f = B.metric ~name ~unit_:"ns/op" (time_ns ~reps:r ~iters f) in
-  {
-    B.experiment = "vm";
-    metrics =
-      [
-        t "vlb_lookup" (fun () -> ignore (Jord_vm.Vlb.lookup vlb ~va:vlb_probe));
-        t "vma_plain_lookup" (fun () ->
-            ignore (Jord_vm.Vma_table.lookup plain ~va:probe));
-        t "vma_btree_lookup" (fun () ->
-            ignore (Jord_vm.Vma_btree.lookup btree fp ~va:probe));
-        t "memsys_read_hit" (fun () ->
-            ignore (Jord_arch.Memsys.read memsys ~core:0 ~addr:0x4000));
-        B.count ~tolerance:det_tol ~name:"btree_rebalances_1k" ~unit_:"ops"
-          (float_of_int (Jord_vm.Vma_btree.rebalance_ops btree));
-      ];
-  }
+  let t name f = B.metric ~name ~unit_:"ns/op" (time_ns ~reps:(reps quick) ~iters f) in
+  [
+    t "vlb_lookup" (fun () -> ignore (Jord_vm.Vlb.lookup vlb ~va:vlb_probe));
+    t "vma_plain_lookup" (fun () -> ignore (Jord_vm.Vma_table.lookup plain ~va:probe));
+    t "vma_btree_lookup" (fun () -> ignore (Jord_vm.Vma_btree.lookup btree fp ~va:probe));
+    t "memsys_read_hit" (fun () -> ignore (Jord_arch.Memsys.read mem ~core:0 ~addr:0x4000));
+    t "privlib_mmap_munmap" (fun () ->
+        let va, _ = Jord_privlib.Privlib.mmap priv ~core:0 ~bytes:4096 ~perm:Jord_vm.Perm.rw () in
+        ignore (Jord_privlib.Privlib.munmap priv ~core:0 ~va));
+    t "privlib_cget_cput" (fun () ->
+        let pd, _ = Jord_privlib.Privlib.cget priv ~core:0 in
+        ignore (Jord_privlib.Privlib.cput priv ~core:0 ~pd));
+    det_int "btree_rebalances_1k" "ops" (Jord_vm.Vma_btree.rebalance_ops btree);
+  ]
+
+(* Wall-clock ns per event over [reps] more runs of a seeded simulation
+   of [events] events, after the measured run that warmed it up. *)
+let wall_per_event ~reps ~events run =
+  B.metric ~name:"wall_per_event" ~unit_:"ns/event"
+    (List.init reps (fun _ -> snd (Clock.timed run) *. 1e9 /. float_of_int (Int.max 1 events)))
 
 (* --- server: steady-state throughput of one seeded simulation --- *)
 
 let server ~quick =
   let config = Exp_common.config_for Jord_faas.Variant.Jord in
   let duration_us = if quick then 800.0 else 2500.0 in
-  let t0 = Unix.gettimeofday () in
-  let w0 = Gc.minor_words () in
-  let server, recorder =
+  let run () =
     Jord_workloads.Loadgen.run ~warmup:200 ~app:Jord_workloads.Hipster.app ~config
       ~rate_mrps:4.0 ~duration_us ()
   in
-  let words = Gc.minor_words () -. w0 in
-  let wall_ns = (Unix.gettimeofday () -. t0) *. 1e9 in
+  let (server, recorder), _, words = measured run in
   let events = Jord_sim.Engine.processed (Jord_faas.Server.engine server) in
   let open Jord_metrics.Recorder in
-  {
-    B.experiment = "server";
-    metrics =
-      [
-        B.count ~tolerance:det_tol ~name:"completed" ~unit_:"requests"
-          (float_of_int (count recorder));
-        B.count ~tolerance:det_tol ~name:"events" ~unit_:"events"
-          (float_of_int events);
-        B.count ~tolerance:det_tol ~name:"throughput" ~unit_:"mrps"
-          (throughput_mrps recorder);
-        B.count ~tolerance:det_tol ~name:"p99" ~unit_:"us" (p99_us recorder);
-        words_per_event ~words ~events;
-        B.metric ~name:"wall_per_event" ~unit_:"ns/event"
-          [ wall_ns /. float_of_int (Int.max 1 events) ];
-      ];
-  }
+  [
+    det_int "completed" "requests" (count recorder);
+    det_int "events" "events" events;
+    det "throughput" "mrps" (throughput_mrps recorder);
+    det "p99" "us" (p99_us recorder);
+    words_per_event ~words ~events;
+    wall_per_event ~reps:(reps quick) ~events run;
+  ]
 
 (* --- cluster: cross-server forwarding under tight queues --- *)
 
-let fanout_app =
-  let open Jord_faas.Model in
-  let leaf =
-    {
-      name = "leaf";
-      make_phases = (fun _ -> [ compute 2000.0 ]);
-      state_bytes = 1024;
-      code_bytes = 1024;
-    }
-  in
-  let entry =
-    {
-      name = "entry";
-      make_phases =
-        (fun _ ->
-          List.init 6 (fun _ -> invoke ~mode:Async ~arg_bytes:256 "leaf") @ [ wait ]);
-      state_bytes = 1024;
-      code_bytes = 1024;
-    }
-  in
-  { app_name = "fanout"; fns = [ entry; leaf ]; entries = [ ("entry", 1.0) ] }
+(* Small machines with tight queues, and a seeded run of
+   [Exp_common.fanout_app] on [servers] of them that forward after two
+   local retries: the recipe for internal requests that cannot be placed
+   locally. *)
+let small_config ?fault_plan () =
+  {
+    (Exp_common.config_for Jord_faas.Variant.Jord) with
+    Jord_faas.Server.machine = Jord_arch.Config.with_cores Jord_arch.Config.default 8;
+    orchestrators = 1;
+    queue_capacity = 2;
+    fault_plan;
+  }
+
+let fanout ~quick ?shards ~servers ~rate_mrps config () =
+  Jord_workloads.Loadgen.run_cluster ~forward_after:2 ?shards ~servers ~warmup:50
+    ~app:Exp_common.fanout_app ~config ~rate_mrps
+    ~duration_us:(if quick then 600.0 else 2000.0)
+    ()
+
+let sum_servers cluster f =
+  Array.fold_left (fun acc s -> acc + f s) 0 (Jord_faas.Cluster.servers cluster)
 
 let cluster ~quick =
-  let config =
-    {
-      (Exp_common.config_for Jord_faas.Variant.Jord) with
-      Jord_faas.Server.machine =
-        Jord_arch.Config.with_cores Jord_arch.Config.default 8;
-      orchestrators = 1;
-      queue_capacity = 2;
-    }
-  in
-  let duration_us = if quick then 600.0 else 2000.0 in
-  let t0 = Unix.gettimeofday () in
-  let w0 = Gc.minor_words () in
-  let cluster, recorder =
-    Jord_workloads.Loadgen.run_cluster ~forward_after:2 ~servers:3 ~warmup:50
-      ~app:fanout_app ~config ~rate_mrps:1.5 ~duration_us ()
-  in
-  let words = Gc.minor_words () -. w0 in
-  let wall_ns = (Unix.gettimeofday () -. t0) *. 1e9 in
+  let run = fanout ~quick ~servers:3 ~rate_mrps:1.5 (small_config ()) in
+  let (cluster, recorder), _, words = measured run in
   let events = Jord_sim.Engine.processed (Jord_faas.Cluster.engine cluster) in
-  let members = Jord_faas.Cluster.servers cluster in
-  let sum f = Array.fold_left (fun acc s -> acc + f s) 0 members in
-  {
-    B.experiment = "cluster";
-    metrics =
-      [
-        B.count ~tolerance:det_tol ~name:"completed" ~unit_:"requests"
-          (float_of_int (Jord_metrics.Recorder.count recorder));
-        B.count ~tolerance:det_tol ~name:"events" ~unit_:"events"
-          (float_of_int events);
-        B.count ~tolerance:det_tol ~name:"forwarded_out" ~unit_:"requests"
-          (float_of_int (sum Jord_faas.Server.forwarded_out));
-        B.count ~tolerance:det_tol ~name:"received_in" ~unit_:"requests"
-          (float_of_int (sum Jord_faas.Server.received_in));
-        words_per_event ~words ~events;
-        B.metric ~name:"wall_per_event" ~unit_:"ns/event"
-          [ wall_ns /. float_of_int (Int.max 1 events) ];
-      ];
-  }
+  [
+    det_int "completed" "requests" (Jord_metrics.Recorder.count recorder);
+    det_int "events" "events" events;
+    det_int "forwarded_out" "requests" (sum_servers cluster Jord_faas.Server.forwarded_out);
+    det_int "received_in" "requests" (sum_servers cluster Jord_faas.Server.received_in);
+    words_per_event ~words ~events;
+    wall_per_event ~reps:(reps quick) ~events run;
+  ]
 
 (* --- cluster_sharded: the conservative parallel core. One seeded 8-server
    fanout workload run twice per repetition — sequentially (shards=1, the
@@ -242,74 +351,34 @@ let cluster ~quick =
    speedup are host wall-clock, so advisory. --- *)
 
 let cluster_sharded ~quick =
-  let servers = 8 in
-  let shards = 4 in
-  let config =
-    {
-      (Exp_common.config_for Jord_faas.Variant.Jord) with
-      Jord_faas.Server.machine =
-        Jord_arch.Config.with_cores Jord_arch.Config.default 8;
-      orchestrators = 1;
-      queue_capacity = 2;
-    }
-  in
-  let duration_us = if quick then 600.0 else 2000.0 in
-  let run ~shards =
-    let t0 = Unix.gettimeofday () in
-    let cluster, recorder =
-      Jord_workloads.Loadgen.run_cluster ~forward_after:2 ~shards ~servers
-        ~warmup:50 ~app:fanout_app ~config ~rate_mrps:3.0 ~duration_us ()
+  let config = small_config () in
+  let run ~shards () =
+    let (cluster, recorder), wall_s =
+      Clock.timed (fanout ~quick ~shards ~servers:8 ~rate_mrps:3.0 config)
     in
-    let wall_s = Unix.gettimeofday () -. t0 in
-    let members = Jord_faas.Cluster.servers cluster in
-    let sum f = Array.fold_left (fun acc s -> acc + f s) 0 members in
     let open Jord_metrics.Recorder in
-    let signature =
-      Printf.sprintf "count=%d events=%d out=%d in=%d p99=%.17g tput=%.17g"
-        (count recorder)
-        (Jord_faas.Cluster.events_processed cluster)
-        (sum Jord_faas.Server.forwarded_out)
-        (sum Jord_faas.Server.received_in)
-        (p99_us recorder) (throughput_mrps recorder)
-    in
-    ( signature,
-      float_of_int (count recorder),
-      Jord_faas.Cluster.events_processed cluster,
-      wall_s )
+    let events = Jord_faas.Cluster.events_processed cluster in
+    let out_in = List.map (sum_servers cluster) Jord_faas.Server.[ forwarded_out; received_in ] in
+    let signature = (count recorder, events, out_in, p99_us recorder, throughput_mrps recorder) in
+    ((signature, count recorder), (events, wall_s))
   in
-  ignore (run ~shards);
-  ignore (run ~shards:1);
-  let pairs = List.init (reps quick) (fun _ -> (run ~shards:1, run ~shards)) in
-  let identical =
-    List.for_all (fun ((sig_seq, _, _, _), (sig_shd, _, _, _)) -> sig_seq = sig_shd)
-      pairs
-  in
-  let (_, completed, events, _), _ = List.hd pairs in
-  let rate_of (_, _, events, wall_s) =
-    float_of_int events /. Float.max wall_s 1e-9
-  in
-  {
-    B.experiment = "cluster_sharded";
-    metrics =
-      [
-        (* The conservative core's contract: 1.0 iff every repetition's
-           sharded signature was byte-equal to the sequential one. *)
-        B.count ~tolerance:det_tol ~name:"determinism_ok" ~unit_:"bool"
-          (if identical then 1.0 else 0.0);
-        B.count ~tolerance:det_tol ~name:"completed" ~unit_:"requests" completed;
-        B.count ~tolerance:det_tol ~name:"events" ~unit_:"events"
-          (float_of_int events);
-        B.metric ~name:"events_per_sec_seq" ~unit_:"events/s"
-          (List.map (fun (seq, _) -> rate_of seq) pairs);
-        B.metric ~name:"events_per_sec_sharded" ~unit_:"events/s"
-          (List.map (fun (_, shd) -> rate_of shd) pairs);
-        (* > 1.0 whenever the host gives the 4 shard domains real cores;
-           on starved CI runners the barrier overhead can push it below. *)
-        B.metric ~name:"sharded_speedup" ~unit_:"ratio"
-          (List.map (fun (seq, shd) -> rate_of shd /. Float.max (rate_of seq) 1e-9)
-             pairs);
-      ];
-  }
+  ignore (run ~shards:4 ());
+  ignore (run ~shards:1 ());
+  let pairs = pairs ~reps:(reps quick) (run ~shards:1) (run ~shards:4) in
+  let ((_, completed), (events, _)), _ = List.hd pairs in
+  [
+    (* The conservative core's contract: 1.0 iff every repetition's sharded
+       signature was byte-equal to the sequential one. *)
+    flag "determinism_ok" (agree (fun ((signature, _), _) -> signature) pairs);
+    det_int "completed" "requests" completed;
+    det_int "events" "events" events;
+  ]
+  (* sharded_speedup is > 1.0 whenever the host gives the 4 shard domains
+     real cores; on starved CI runners the barrier overhead can push it
+     below. *)
+  @ rates
+      ("events_per_sec_seq", "events_per_sec_sharded", "sharded_speedup")
+      (List.map (fun ((_, seq), (_, shd)) -> (seq, shd)) pairs)
 
 (* --- chaos_failover: the server failure domain under sharding. One seeded
    3-server fanout workload under a whole-server-crash fault plan, run
@@ -321,90 +390,57 @@ let cluster_sharded ~quick =
    baseline also pins how much failure the plan actually injects. --- *)
 
 let chaos_failover ~quick =
-  let plan =
-    {
-      Jord_fault_inject.Plan.ci_smoke with
-      Jord_fault_inject.Plan.server_crash = 0.002;
-      server_down_us = 20.0;
-      warm_loss = 1.0;
-    }
-  in
-  let config =
-    {
-      (Exp_common.config_for Jord_faas.Variant.Jord) with
-      Jord_faas.Server.machine =
-        Jord_arch.Config.with_cores Jord_arch.Config.default 8;
-      orchestrators = 1;
-      queue_capacity = 2;
-      fault_plan = Some plan;
-    }
-  in
-  let duration_us = if quick then 600.0 else 2000.0 in
-  let run ~shards =
-    let cluster, recorder =
-      Jord_workloads.Loadgen.run_cluster ~forward_after:2 ~shards ~servers:3
-        ~warmup:50 ~app:fanout_app ~config ~rate_mrps:1.5 ~duration_us ()
-    in
-    let members = Jord_faas.Cluster.servers cluster in
-    let sum f = Array.fold_left (fun acc s -> acc + f s) 0 members in
+  let plan = parse Jord_fault_inject.Plan.parse "ci-smoke,server-crash=0.002,server-down-us=20" in
+  let config = small_config ~fault_plan:plan () in
+  let run ~shards () =
+    let cluster, recorder = fanout ~quick ~shards ~servers:3 ~rate_mrps:1.5 config () in
+    let sum = sum_servers cluster in
     let s = Option.get (Jord_faas.Cluster.net_stats cluster) in
+    (* Completions, crash and recovery counters, and every transport stat. *)
     let signature =
-      Printf.sprintf
-        "count=%d events=%d crashes=%d srv=%d warm=%d cold=%d rec=%d \
-         xfers=%d copies=%d lost=%d dup=%d down=%d acked=%d retries=%d \
-         abandoned=%d failover=%d dead=%d probe=%d p99=%.17g"
-        (Jord_metrics.Recorder.count recorder)
-        (Jord_faas.Cluster.events_processed cluster)
-        (sum Jord_faas.Server.crashes)
-        (sum Jord_faas.Server.server_crashes)
-        (sum Jord_faas.Server.warm_losses)
-        (sum Jord_faas.Server.cold_starts)
-        (sum Jord_faas.Server.recovered)
-        s.Jord_faas.Cluster.xfers s.Jord_faas.Cluster.wire_copies
-        s.Jord_faas.Cluster.lost s.Jord_faas.Cluster.dup_dropped
-        s.Jord_faas.Cluster.dropped_down s.Jord_faas.Cluster.acked
-        s.Jord_faas.Cluster.retries s.Jord_faas.Cluster.abandoned
-        s.Jord_faas.Cluster.failover s.Jord_faas.Cluster.peers_marked_dead
-        s.Jord_faas.Cluster.peers_unquarantined
-        (Jord_metrics.Recorder.p99_us recorder)
+      ( Jord_metrics.Recorder.(count recorder, p99_us recorder),
+        Jord_faas.Cluster.events_processed cluster,
+        List.map sum
+          Jord_faas.Server.[ crashes; server_crashes; warm_losses; cold_starts; recovered ],
+        s )
     in
-    let clean = Jord_faas.Cluster.check_invariants cluster = [] in
-    ( signature,
-      clean,
-      float_of_int (Jord_metrics.Recorder.count recorder),
-      float_of_int (sum Jord_faas.Server.server_crashes),
-      float_of_int s.Jord_faas.Cluster.failover )
+    ( (signature, Jord_faas.Cluster.check_invariants cluster = []),
+      (Jord_metrics.Recorder.count recorder, sum Jord_faas.Server.server_crashes, s.failover) )
   in
-  let pairs = List.init (reps quick) (fun _ -> (run ~shards:1, run ~shards:3)) in
-  let identical =
-    List.for_all
-      (fun ((sig_seq, _, _, _, _), (sig_shd, _, _, _, _)) -> sig_seq = sig_shd)
-      pairs
+  let pairs = pairs ~reps:(reps quick) (run ~shards:1) (run ~shards:3) in
+  let (_, (completed, server_crashes, failover)), _ = List.hd pairs in
+  [
+    (* Hard gate: any fault plan replays byte-identically at every shard
+       count — sharded chaos is part of the determinism contract. *)
+    flag "determinism_ok" (agree (fun ((signature, _), _) -> signature) pairs);
+    (* Hard gate: no request lost or executed twice through whole-server
+       crashes, failover and local re-execution. *)
+    flag "invariants_ok" (List.for_all (fun (((_, c1), _), ((_, c2), _)) -> c1 && c2) pairs);
+    det_int "completed" "requests" completed;
+    det_int "server_crashes" "crashes" server_crashes;
+    det_int "failover" "transfers" failover;
+  ]
+
+(* --- fleet experiments: one measured run of an autoscaled 64-server
+   Hipster fleet under the [traffic] spec, on [shards] engine shards --- *)
+
+let fleet ~quick ~traffic ?tracer ~shards () =
+  let shape = parse Jord_workloads.Traffic.parse traffic in
+  let slo = parse Jord_obsv.Slo.parse "ci" in
+  let cfg =
+    {
+      Jord_fleet.Fleet.default_config with
+      Jord_fleet.Fleet.servers = 64;
+      member =
+        { Jord_fleet.Fserver.default_config with Jord_fleet.Fserver.slots = 8; queue_cap = 32 };
+      autoscale = Some (parse Jord_fleet.Autoscaler.parse "fast,min=12,boot-us=60");
+      shards;
+    }
   in
-  let all_clean =
-    List.for_all
-      (fun ((_, c1, _, _, _), (_, c2, _, _, _)) -> c1 && c2)
-      pairs
-  in
-  let (_, _, completed, server_crashes, failover), _ = List.hd pairs in
-  {
-    B.experiment = "chaos_failover";
-    metrics =
-      [
-        (* Hard gate: any fault plan replays byte-identically at every
-           shard count — sharded chaos is part of the determinism contract. *)
-        B.count ~tolerance:det_tol ~name:"determinism_ok" ~unit_:"bool"
-          (if identical then 1.0 else 0.0);
-        (* Hard gate: no request lost or executed twice through whole-server
-           crashes, failover and local re-execution. *)
-        B.count ~tolerance:det_tol ~name:"invariants_ok" ~unit_:"bool"
-          (if all_clean then 1.0 else 0.0);
-        B.count ~tolerance:det_tol ~name:"completed" ~unit_:"requests" completed;
-        B.count ~tolerance:det_tol ~name:"server_crashes" ~unit_:"crashes"
-          server_crashes;
-        B.count ~tolerance:det_tol ~name:"failover" ~unit_:"transfers" failover;
-      ];
-  }
+  measured (fun () ->
+      let t = Jord_fleet.Fleet.create cfg ~app:Jord_workloads.Hipster.app in
+      Jord_fleet.Fleet.run ~slo ?tracer t ~shape ~duration_us:(if quick then 400.0 else 1200.0);
+      t)
 
 (* --- fleet_scale: the datacenter layer over the parallel core. One seeded
    64-server fleet under autoscaled flash-crowd traffic, run sequentially
@@ -417,116 +453,46 @@ let chaos_failover ~quick =
    run (Gc.minor_words counts the calling domain only); events/sec and the
    speedup are host wall-clock, so advisory. --- *)
 
-type fleet_run = {
-  signature : string;
-  completed : int;
-  cold_starts : int;
-  boots : int;
-  drains : int;
-  events : int;
-  wall_s : float;
-  words : float;
-}
-
 let fleet_scale ~quick =
-  let duration_us = if quick then 400.0 else 1200.0 in
-  let shape =
-    match Jord_workloads.Traffic.parse "ci,users=100000,rate=40" with
-    | Ok s -> s
-    | Error m -> failwith ("fleet_scale: " ^ m)
-  in
-  let autoscale =
-    match Jord_fleet.Autoscaler.parse "fast,min=12,boot-us=60" with
-    | Ok s -> s
-    | Error m -> failwith ("fleet_scale: " ^ m)
-  in
-  let slo =
-    match Jord_obsv.Slo.parse "ci" with
-    | Ok o -> o
-    | Error m -> failwith ("fleet_scale: " ^ m)
-  in
-  let run ~shards =
-    let cfg =
-      {
-        Jord_fleet.Fleet.default_config with
-        Jord_fleet.Fleet.servers = 64;
-        member =
-          { Jord_fleet.Fserver.default_config with Jord_fleet.Fserver.slots = 8; queue_cap = 32 };
-        autoscale = Some autoscale;
-        shards;
-      }
-    in
-    let t0 = Unix.gettimeofday () in
-    let w0 = Gc.minor_words () in
-    let t = Jord_fleet.Fleet.create cfg ~app:Jord_workloads.Hipster.app in
-    Jord_fleet.Fleet.run ~slo t ~shape ~duration_us;
-    let words = Gc.minor_words () -. w0 in
-    let wall_s = Unix.gettimeofday () -. t0 in
-    let module F = Jord_fleet.Fleet in
-    let rollup_sig =
-      match F.rollup t with
-      | None -> "none"
-      | Some r ->
-          String.concat ";"
-            (List.map
-               (fun (row : Jord_obsv.Rollup.row) ->
-                 Printf.sprintf "%s:%d/%d/%d:%s"
-                   row.Jord_obsv.Rollup.r_objective.Jord_obsv.Slo.name
-                   row.Jord_obsv.Rollup.r_requests row.Jord_obsv.Rollup.r_bad
-                   row.Jord_obsv.Rollup.r_shed row.Jord_obsv.Rollup.r_verdict)
-               (Jord_obsv.Rollup.rows r))
+  let module F = Jord_fleet.Fleet in
+  let run ~shards () =
+    let t, wall_s, words = fleet ~quick ~traffic:"ci,users=100000,rate=40" ~shards () in
+    let verdicts =
+      Option.map
+        (fun r ->
+          List.map
+            (fun (row : Jord_obsv.Rollup.row) ->
+              (row.r_objective.name, row.r_requests, row.r_bad, row.r_shed, row.r_verdict))
+            (Jord_obsv.Rollup.rows r))
+        (F.rollup t)
     in
     let signature =
-      Printf.sprintf
-        "arr=%d routed=%d done=%d shed=%d hits=%d cold=%d boots=%d drains=%d \
-         events=%d p99=%d mean=%.17g slo=[%s]"
-        (F.arrivals t) (F.routed t) (F.completed t) (F.shed t)
-        (F.affinity_hits t) (F.cold_starts t) (F.boots t) (F.drains t)
-        (F.events_processed t)
-        (Jord_telemetry.Sketch.quantile (F.latency t) 99.0)
-        (Jord_telemetry.Sketch.mean (F.latency t))
-        rollup_sig
+      ( F.(completed t, cold_starts t, boots t, drains t),
+        F.[ arrivals t; routed t; shed t; affinity_hits t; events_processed t ],
+        Jord_telemetry.Sketch.(quantile (F.latency t) 99.0, mean (F.latency t)),
+        verdicts )
     in
-    {
-      signature;
-      completed = F.completed t;
-      cold_starts = F.cold_starts t;
-      boots = F.boots t;
-      drains = F.drains t;
-      events = F.events_processed t;
-      wall_s;
-      words;
-    }
+    ((signature, words), (F.events_processed t, wall_s))
   in
-  ignore (run ~shards:4);
-  ignore (run ~shards:1);
-  let pairs = List.init (reps quick) (fun _ -> (run ~shards:1, run ~shards:4)) in
-  let identical = List.for_all (fun (seq, shd) -> seq.signature = shd.signature) pairs in
-  let seq, _ = List.hd pairs in
-  let rate_of r = float_of_int r.events /. Float.max r.wall_s 1e-9 in
-  let count name unit_ v = B.count ~tolerance:det_tol ~name ~unit_ (float_of_int v) in
-  {
-    B.experiment = "fleet_scale";
-    metrics =
-      [
-        (* Hard gate: a fleet run — balancer decisions, autoscale actions,
-           cold starts, SLO verdicts — is byte-identical at any shard
-           count. *)
-        B.count ~tolerance:det_tol ~name:"determinism_ok" ~unit_:"bool"
-          (if identical then 1.0 else 0.0);
-        count "completed" "requests" seq.completed;
-        count "cold_starts" "starts" seq.cold_starts;
-        count "boots" "servers" seq.boots;
-        count "drains" "servers" seq.drains;
-        words_per_event ~words:seq.words ~events:seq.events;
-        B.metric ~name:"events_per_sec_seq" ~unit_:"events/s"
-          (List.map (fun (seq, _) -> rate_of seq) pairs);
-        B.metric ~name:"events_per_sec_sharded" ~unit_:"events/s"
-          (List.map (fun (_, shd) -> rate_of shd) pairs);
-        B.metric ~name:"sharded_speedup" ~unit_:"ratio"
-          (List.map (fun (seq, shd) -> rate_of shd /. Float.max (rate_of seq) 1e-9) pairs);
-      ];
-  }
+  ignore (run ~shards:4 ());
+  ignore (run ~shards:1 ());
+  let pairs = pairs ~reps:(reps quick) (run ~shards:1) (run ~shards:4) in
+  let (((completed, cold_starts, boots, drains), _, _, _), words), (events, _) =
+    fst (List.hd pairs)
+  in
+  [
+    (* Hard gate: a fleet run — balancer decisions, autoscale actions, cold
+       starts, SLO verdicts — is byte-identical at any shard count. *)
+    flag "determinism_ok" (agree (fun ((signature, _), _) -> signature) pairs);
+    det_int "completed" "requests" completed;
+    det_int "cold_starts" "starts" cold_starts;
+    det_int "boots" "servers" boots;
+    det_int "drains" "servers" drains;
+    words_per_event ~words ~events;
+  ]
+  @ rates
+      ("events_per_sec_seq", "events_per_sec_sharded", "sharded_speedup")
+      (List.map (fun ((_, seq), (_, shd)) -> (seq, shd)) pairs)
 
 (* --- fleet_trace_overhead: cost and determinism of fleet causal tracing.
    One seeded autoscaled flash-crowd fleet, run untraced and traced on the
@@ -539,45 +505,14 @@ let fleet_scale ~quick =
    is advisory (target <= ~1.1x). --- *)
 
 let fleet_trace_overhead ~quick =
-  let duration_us = if quick then 400.0 else 1200.0 in
-  let shape =
-    match Jord_workloads.Traffic.parse "flash,users=100000,rate=40" with
-    | Ok s -> s
-    | Error m -> failwith ("fleet_trace_overhead: " ^ m)
-  in
-  let autoscale =
-    match Jord_fleet.Autoscaler.parse "fast,min=12,boot-us=60" with
-    | Ok s -> s
-    | Error m -> failwith ("fleet_trace_overhead: " ^ m)
-  in
-  let slo =
-    match Jord_obsv.Slo.parse "ci" with
-    | Ok o -> o
-    | Error m -> failwith ("fleet_trace_overhead: " ^ m)
-  in
   let module F = Jord_fleet.Fleet in
   let module Ftrace = Jord_obsv.Ftrace in
-  let run ~shards ~traced =
-    let cfg =
-      {
-        F.default_config with
-        F.servers = 64;
-        member =
-          { Jord_fleet.Fserver.default_config with Jord_fleet.Fserver.slots = 8; queue_cap = 32 };
-        autoscale = Some autoscale;
-        shards;
-      }
-    in
+  let run ~shards ~traced () =
     let tracer = if traced then Some (Ftrace.create ()) else None in
-    let t0 = Unix.gettimeofday () in
-    let t = F.create cfg ~app:Jord_workloads.Hipster.app in
-    F.run ~slo ?tracer t ~shape ~duration_us;
-    let wall_s = Unix.gettimeofday () -. t0 in
+    let t, wall_s, _ = fleet ~quick ~traffic:"flash,users=100000,rate=40" ?tracer ~shards () in
     let fleet_sig =
-      Printf.sprintf "arr=%d done=%d shed=%d cold=%d events=%d p99=%d"
-        (F.arrivals t) (F.completed t) (F.shed t) (F.cold_starts t)
-        (F.events_processed t)
-        (Jord_telemetry.Sketch.quantile (F.latency t) 99.0)
+      F.[ arrivals t; completed t; shed t; cold_starts t; events_processed t ]
+      @ [ Jord_telemetry.Sketch.quantile (F.latency t) 99.0 ]
     in
     let trace_sig, retained, exemplars_ok =
       match tracer with
@@ -589,188 +524,127 @@ let fleet_trace_overhead ~quick =
               (Ftrace.retained tr)
           in
           let ids = Ftrace.retained_ids tr in
-          let rollup_text =
+          let kept id = id < 0 || List.mem id ids in
+          let rollup_text, ex_ok =
             match F.rollup t with
-            | Some r -> Jord_obsv.Rollup.report_text r
-            | None -> "no-rollup"
-          in
-          let ex_ok =
-            match F.rollup t with
-            | None -> true
+            | None -> ("no-rollup", true)
             | Some r ->
-                List.for_all
-                  (fun (row : Jord_obsv.Rollup.row) ->
-                    row.Jord_obsv.Rollup.r_exemplar < 0
-                    || List.mem row.Jord_obsv.Rollup.r_exemplar ids)
-                  (Jord_obsv.Rollup.rows r)
-                && List.for_all
-                     (fun (_, ws) ->
-                       List.for_all
-                         (fun (cw : Jord_obsv.Rollup.closed_window) ->
-                           cw.Jord_obsv.Rollup.cw_exemplar < 0
-                           || List.mem cw.Jord_obsv.Rollup.cw_exemplar ids)
-                         ws)
-                     (Jord_obsv.Rollup.windows r)
+                ( Jord_obsv.Rollup.report_text r,
+                  List.for_all
+                    (fun (row : Jord_obsv.Rollup.row) -> kept row.r_exemplar)
+                    (Jord_obsv.Rollup.rows r)
+                  && List.for_all
+                       (fun (_, ws) ->
+                         List.for_all
+                           (fun (cw : Jord_obsv.Rollup.closed_window) -> kept cw.cw_exemplar)
+                           ws)
+                       (Jord_obsv.Rollup.windows r) )
           in
           (String.concat "\n" (rollup_text :: lines), List.length lines, ex_ok)
     in
-    (fleet_sig, trace_sig, retained, exemplars_ok, (F.events_processed t, wall_s))
+    ((fleet_sig, trace_sig, retained, exemplars_ok), (F.events_processed t, wall_s))
   in
-  ignore (run ~shards:1 ~traced:true);
+  ignore (run ~shards:1 ~traced:true ());
   let pairs =
-    List.init (reps quick) (fun _ ->
-        (run ~shards:1 ~traced:false, run ~shards:1 ~traced:true))
+    pairs ~reps:(reps quick) (run ~shards:1 ~traced:false) (run ~shards:1 ~traced:true)
   in
-  let fsig_off, _, _, _, _ = fst (List.hd pairs) in
-  let fsig_on, tsig_on, retained, exemplars_ok, _ = snd (List.hd pairs) in
-  let _, tsig_shd, _, _, _ = run ~shards:4 ~traced:true in
-  let stable =
-    List.for_all
-      (fun ((fo, _, _, _, _), (fn_, ts, _, _, _)) ->
-        fo = fsig_off && fn_ = fsig_on && ts = tsig_on)
-      pairs
+  let ((fsig_off, _, _, _), _), ((_, tsig_on, retained, exemplars_ok), _) = List.hd pairs in
+  let (_, tsig_shd, _, _), _ = run ~shards:4 ~traced:true () in
+  let unperturbed (((off, _, _, _), _), ((on, traced, _, _), _)) =
+    off = fsig_off && on = fsig_off && traced = tsig_on
   in
-  let rate_of (events, wall_s) = float_of_int events /. Float.max wall_s 1e-9 in
-  {
-    B.experiment = "fleet_trace_overhead";
-    metrics =
-      [
-        (* Hard gates: tracing never perturbs the simulation, and the
-           trace surface is shard-invariant and repeatable. *)
-        B.count ~tolerance:det_tol ~name:"sim_unperturbed" ~unit_:"bool"
-          (if fsig_off = fsig_on && stable then 1.0 else 0.0);
-        B.count ~tolerance:det_tol ~name:"determinism_ok" ~unit_:"bool"
-          (if tsig_on = tsig_shd then 1.0 else 0.0);
-        B.count ~tolerance:det_tol ~name:"exemplars_ok" ~unit_:"bool"
-          (if exemplars_ok then 1.0 else 0.0);
-        B.count ~tolerance:det_tol ~name:"retained_spans" ~unit_:"spans"
-          (float_of_int retained);
-        B.metric ~name:"events_per_sec_untraced" ~unit_:"events/s"
-          (List.map (fun ((_, _, _, _, off), _) -> rate_of off) pairs);
-        B.metric ~name:"events_per_sec_traced" ~unit_:"events/s"
-          (List.map (fun (_, (_, _, _, _, on)) -> rate_of on) pairs);
-        (* Wall-clock slowdown of the traced run over the untraced run of
-           the same seeded simulation (1.0 = free; advisory, ~1.1x). *)
-        B.metric ~name:"fleet_trace_overhead" ~unit_:"ratio"
-          (List.map
-             (fun ((_, _, _, _, off), (_, _, _, _, on)) ->
-               snd on /. Float.max (snd off) 1e-9)
-             pairs);
-      ];
-  }
+  [
+    (* Hard gates: tracing never perturbs the simulation, and the trace
+       surface is shard-invariant and repeatable. *)
+    flag "sim_unperturbed" (List.for_all unperturbed pairs);
+    flag "determinism_ok" (tsig_on = tsig_shd);
+    flag "exemplars_ok" exemplars_ok;
+    det_int "retained_spans" "spans" retained;
+  ]
+  (* fleet_trace_overhead is the wall-clock slowdown of the traced run over
+     the untraced run of the same seeded simulation (1.0 = free; advisory,
+     ~1.1x). *)
+  @ rates ~slowdown:true
+      ("events_per_sec_untraced", "events_per_sec_traced", "fleet_trace_overhead")
+      (List.map (fun ((_, off), (_, on)) -> (off, on)) pairs)
+
+(* One timed seeded Hipster run at 3 MRPS: a leg of the trace and
+   slo_overhead pairs. Returns the run's engine and its wall seconds. *)
+let hipster ~quick ?tracer () =
+  let config = Exp_common.config_for Jord_faas.Variant.Jord in
+  let duration_us = if quick then 500.0 else 1200.0 in
+  let (server, _), wall_s =
+    Clock.timed (fun () ->
+        Jord_workloads.Loadgen.run ?tracer ~warmup:100 ~app:Jord_workloads.Hipster.app ~config
+          ~rate_mrps:3.0 ~duration_us ())
+  in
+  (Jord_faas.Server.engine server, wall_s)
 
 (* --- trace: cost of causal tracing on the single-server hot path --- *)
 
 let trace ~quick =
-  let config = Exp_common.config_for Jord_faas.Variant.Jord in
-  let duration_us = if quick then 500.0 else 1200.0 in
   let run ?tracer () =
-    let t0 = Unix.gettimeofday () in
-    let server, _ =
-      Jord_workloads.Loadgen.run ?tracer ~warmup:100
-        ~app:Jord_workloads.Hipster.app ~config ~rate_mrps:3.0 ~duration_us ()
-    in
-    let wall_s = Unix.gettimeofday () -. t0 in
-    (Jord_sim.Engine.processed (Jord_faas.Server.engine server), wall_s)
+    let engine, wall_s = hipster ~quick ?tracer () in
+    (Jord_sim.Engine.processed engine, wall_s)
   in
   ignore (run ());
   let r = reps quick in
   let emitted = ref 0 in
   let pairs =
-    List.init r (fun _ ->
-        let events_off, off_s = run () in
+    pairs ~reps:r run (fun () ->
         let tr = Jord_faas.Trace.create () in
-        let events_on, on_s = run ~tracer:tr () in
+        let on = run ~tracer:tr () in
         emitted := Jord_faas.Trace.total_emitted tr;
-        ((events_off, off_s), (events_on, on_s)))
+        on)
   in
-  let rate_of (events, s) = float_of_int events /. Float.max s 1e-9 in
-  {
-    B.experiment = "trace";
-    metrics =
-      [
-        B.metric ~name:"events_per_sec_off" ~unit_:"events/s"
-          (List.map (fun (off, _) -> rate_of off) pairs);
-        B.metric ~name:"events_per_sec_on" ~unit_:"events/s"
-          (List.map (fun (_, on) -> rate_of on) pairs);
-        (* Wall-clock slowdown of the traced run over the untraced run of
-           the same seeded simulation (1.0 = free). *)
-        B.metric ~name:"trace_overhead" ~unit_:"ratio"
-          (List.map (fun ((_, off_s), (_, on_s)) -> on_s /. Float.max off_s 1e-9) pairs);
-        B.count ~tolerance:det_tol ~name:"trace_events_emitted" ~unit_:"events"
-          (float_of_int !emitted);
-      ];
-  }
+  (* Telemetry hot-path instruments: these bound the overhead an owned
+     counter or histogram adds when updated from simulation code (pull
+     collectors add nothing until snapshot). *)
+  let reg = Jord_telemetry.Registry.create () in
+  let counter = Jord_telemetry.Registry.counter reg "bench_ctr_total" in
+  let hist = Jord_telemetry.Registry.histogram reg "bench_hist_ns" in
+  let iters = if quick then 50_000 else 200_000 in
+  let t name f = B.metric ~name ~unit_:"ns/op" (time_ns ~reps:r ~iters f) in
+  (* trace_overhead is the wall-clock slowdown of the traced run over the
+     untraced run of the same seeded simulation (1.0 = free). *)
+  rates ~slowdown:true ("events_per_sec_off", "events_per_sec_on", "trace_overhead") pairs
+  @ [
+      det_int "trace_events_emitted" "events" !emitted;
+      t "telemetry_counter_inc" (fun () -> Jord_telemetry.Registry.Counter.inc counter);
+      t "telemetry_hist_observe" (fun () -> Jord_telemetry.Registry.Hist.observe hist 1234.5);
+    ]
 
 (* --- slo_overhead: cost of the online SLO plane over plain tracing --- *)
 
 let slo_overhead ~quick =
-  let config = Exp_common.config_for Jord_faas.Variant.Jord in
-  let duration_us = if quick then 500.0 else 1200.0 in
   (* A threshold below this workload's p99 so windows carry bad requests and
      the burn-rate rule does real transitions, not just bookkeeping. *)
   let objectives =
-    match Jord_obsv.Slo.parse "p=99,threshold_us=6,window_us=100,budget=0.02,slow=3" with
-    | Ok objs -> objs
-    | Error msg -> failwith ("slo_overhead: " ^ msg)
+    parse Jord_obsv.Slo.parse "p=99,threshold_us=6,window_us=100,budget=0.02,slow=3"
   in
   let run ~slo () =
     let tracer = Jord_faas.Trace.create () in
-    let pipeline =
-      if slo then begin
-        let p = Jord_obsv.Online.create objectives in
-        Jord_obsv.Online.attach p tracer;
-        Some p
-      end
-      else None
-    in
-    let t0 = Unix.gettimeofday () in
-    let server, _ =
-      Jord_workloads.Loadgen.run ~tracer ~warmup:100
-        ~app:Jord_workloads.Hipster.app ~config ~rate_mrps:3.0 ~duration_us ()
-    in
-    let wall_s = Unix.gettimeofday () -. t0 in
-    Option.iter
-      (fun p ->
-        Jord_obsv.Online.finish p
-          ~now_ps:(Jord_sim.Engine.now (Jord_faas.Server.engine server)))
-      pipeline;
-    (wall_s, pipeline)
+    let pipeline = if slo then Some (Jord_obsv.Online.create objectives) else None in
+    Option.iter (fun p -> Jord_obsv.Online.attach p tracer) pipeline;
+    let engine, wall_s = hipster ~quick ~tracer () in
+    Option.iter (fun p -> Jord_obsv.Online.finish p ~now_ps:(Jord_sim.Engine.now engine)) pipeline;
+    (pipeline, wall_s)
   in
   ignore (run ~slo:true ());
-  let r = reps quick in
-  let last_pipeline = ref None in
-  let pairs =
-    List.init r (fun _ ->
-        let off_s, _ = run ~slo:false () in
-        let on_s, p = run ~slo:true () in
-        last_pipeline := p;
-        (off_s, on_s))
-  in
-  let snaps =
-    match !last_pipeline with
-    | Some p -> Jord_obsv.Online.snapshot p
-    | None -> []
-  in
+  let pairs = pairs ~reps:(reps quick) (run ~slo:false) (run ~slo:true) in
+  let _, (pipeline, _) = List.hd pairs in
+  let snaps = Jord_obsv.Online.snapshot (Option.get pipeline) in
   let sum f = List.fold_left (fun acc s -> acc + f s) 0 snaps in
-  {
-    B.experiment = "slo_overhead";
-    metrics =
-      [
-        (* Wall-clock slowdown of traced+SLO over traced-only of the same
-           seeded simulation (1.0 = the pipeline is free). *)
-        B.metric ~name:"slo_overhead" ~unit_:"ratio"
-          (List.map (fun (off_s, on_s) -> on_s /. Float.max off_s 1e-9) pairs);
-        B.count ~tolerance:det_tol ~name:"slo_requests" ~unit_:"requests"
-          (float_of_int (sum (fun s -> s.Jord_obsv.Online.s_completed + s.Jord_obsv.Online.s_shed)));
-        B.count ~tolerance:det_tol ~name:"slo_bad" ~unit_:"requests"
-          (float_of_int (sum (fun s -> s.Jord_obsv.Online.s_bad)));
-        B.count ~tolerance:det_tol ~name:"slo_windows_closed" ~unit_:"windows"
-          (float_of_int (sum (fun s -> s.Jord_obsv.Online.s_windows_closed)));
-        B.count ~tolerance:det_tol ~name:"slo_transitions" ~unit_:"transitions"
-          (float_of_int (sum (fun s -> s.Jord_obsv.Online.s_fired + s.Jord_obsv.Online.s_resolved)));
-      ];
-  }
+  let open Jord_obsv.Online in
+  [
+    (* Wall-clock slowdown of traced+SLO over traced-only of the same seeded
+       simulation (1.0 = the pipeline is free). *)
+    per_run "slo_overhead" "ratio" (fun ((_, a), (_, b)) -> b /. Float.max a 1e-9) pairs;
+    det_int "slo_requests" "requests" (sum (fun s -> s.s_completed + s.s_shed));
+    det_int "slo_bad" "requests" (sum (fun s -> s.s_bad));
+    det_int "slo_windows_closed" "windows" (sum (fun s -> s.s_windows_closed));
+    det_int "slo_transitions" "transitions" (sum (fun s -> s.s_fired + s.s_resolved));
+  ]
 
 (* --- registry --- *)
 
@@ -789,41 +663,23 @@ let experiments =
   ]
 
 let names = List.map fst experiments
-let is_known name = List.mem_assoc name experiments
-
-let run_one ~quick name =
-  match List.assoc_opt name experiments with
-  | Some f -> Ok (f ~quick)
-  | None ->
-      Error
-        (Printf.sprintf "unknown bench experiment %S; valid: %s" name
-           (String.concat ", " names))
+let run ~quick name = { B.experiment = name; metrics = (List.assoc name experiments) ~quick }
 
 let render (doc : B.doc) =
-  Jord_util.Render.table
-    ~title:(Printf.sprintf "bench [%s]" doc.B.experiment)
+  let row (m : B.metric) =
+    let kind = match m.kind with B.Time -> "time" | B.Count -> "count" in
+    let g = Printf.sprintf "%g" in
+    [ m.name; kind; g m.value; m.unit_; g m.iqr; string_of_int m.repetitions ]
+  in
+  Jord_util.Render.table ~title:(Printf.sprintf "bench [%s]" doc.experiment)
     ~header:[ "metric"; "kind"; "value"; "unit"; "iqr"; "reps" ]
-    ~rows:
-      (List.map
-         (fun (m : B.metric) ->
-           [
-             m.B.name;
-             (match m.B.kind with B.Time -> "time" | B.Count -> "count");
-             Printf.sprintf "%g" m.B.value;
-             m.B.unit_;
-             Printf.sprintf "%g" m.B.iqr;
-             string_of_int m.B.repetitions;
-           ])
-         doc.B.metrics)
-    ()
+    ~rows:(List.map row doc.metrics) ()
 
 (* --- parallel selftest: byte-identical + measurably faster --- *)
 
 let par_selftest ?jobs ?(quick = true) () =
   let jobs =
-    match jobs with
-    | Some j -> j
-    | None -> Int.min 4 (Int.max 2 (Domain.recommended_domain_count ()))
+    Option.value jobs ~default:(Int.min 4 (Int.max 2 (Domain.recommended_domain_count ())))
   in
   let duration_us = if quick then 1200.0 else 3000.0 in
   let points =
@@ -831,9 +687,7 @@ let par_selftest ?jobs ?(quick = true) () =
   in
   let run_case (rate, seed_offset) =
     let config = Exp_common.config_for Jord_faas.Variant.Jord in
-    let config =
-      { config with Jord_faas.Server.seed = config.Jord_faas.Server.seed + (1000 * seed_offset) }
-    in
+    let config = { config with seed = config.seed + (1000 * seed_offset) } in
     let server, recorder =
       Jord_workloads.Loadgen.run ~warmup:100 ~app:Jord_workloads.Hipster.app ~config
         ~rate_mrps:rate ~duration_us ~seed:(7 + (100 * seed_offset)) ()
@@ -847,14 +701,9 @@ let par_selftest ?jobs ?(quick = true) () =
   (* Warm code paths once so the sequential leg is not paying one-time
      initialization the parallel leg then skips. *)
   ignore (run_case (List.hd points));
-  let timed f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let seq_report, seq_s = timed (fun () -> List.map run_case points) in
+  let seq_report, seq_s = Clock.timed (fun () -> List.map run_case points) in
   let par_report, par_s =
-    timed (fun () ->
+    Clock.timed (fun () ->
         Jord_par.Pool.with_pool ~jobs (fun pool ->
             Jord_par.Pool.parmap pool run_case points))
   in

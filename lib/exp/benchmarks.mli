@@ -12,10 +12,10 @@ val names : string list
     its [determinism_ok] count hard-gates result byte-equality, while
     events/sec and the sharded speedup are advisory wall-clock. *)
 
-val is_known : string -> bool
-
-val run_one : quick:bool -> string -> (Jord_util.Bench_json.doc, string) result
-(** Run one experiment; [Error] names the valid experiments. *)
+val run : quick:bool -> string -> Jord_util.Bench_json.doc
+(** Run one experiment. Both front ends refuse a name not in {!names}
+    before they get here.
+    @raise Not_found on such a name. *)
 
 val render : Jord_util.Bench_json.doc -> string
 (** Human-readable table of a doc (medians, IQRs, kinds). *)

@@ -52,6 +52,30 @@ let social =
 
 let all = [ hipster; hotel; media; social ]
 
+(* Six async leaves per entry: on a small machine with tight queues, the
+   recipe for internal requests that cannot be placed locally. *)
+let fanout_app =
+  let open Jord_faas.Model in
+  let leaf =
+    {
+      name = "leaf";
+      make_phases = (fun _ -> [ compute 2000.0 ]);
+      state_bytes = 1024;
+      code_bytes = 1024;
+    }
+  in
+  let entry =
+    {
+      name = "entry";
+      make_phases =
+        (fun _ ->
+          List.init 6 (fun _ -> invoke ~mode:Async ~arg_bytes:256 "leaf") @ [ wait ]);
+      state_bytes = 1024;
+      code_bytes = 1024;
+    }
+  in
+  { app_name = "fanout"; fns = [ entry; leaf ]; entries = [ ("entry", 1.0) ] }
+
 let scale f spec =
   {
     spec with

@@ -19,6 +19,12 @@ val media : spec
 val social : spec
 val all : spec list
 
+val fanout_app : Jord_faas.Model.app
+(** An entry that invokes six 2 µs leaves asynchronously and waits for
+    them. On a small machine with tight queues it is the recipe for
+    forwarding: the cluster benchmarks, the golden cluster scenarios and the
+    cluster tests all run it. *)
+
 val scale : float -> spec -> spec
 (** [scale f spec] multiplies the duration by [f] (and scales warmup),
     for quick runs. *)

@@ -52,30 +52,6 @@ let tiny_app =
     entries = [ ("entry", 1.0) ];
   }
 
-(* The fan-out app of test_cluster.ml: six async leaves per entry, the recipe
-   for forwarding under tight queues. *)
-let fanout_app =
-  let open Jord_faas.Model in
-  let leaf =
-    {
-      name = "leaf";
-      make_phases = (fun _ -> [ compute 2000.0 ]);
-      state_bytes = 1024;
-      code_bytes = 1024;
-    }
-  in
-  let entry =
-    {
-      name = "entry";
-      make_phases =
-        (fun _ ->
-          List.init 6 (fun _ -> invoke ~mode:Async ~arg_bytes:256 "leaf") @ [ wait ]);
-      state_bytes = 1024;
-      code_bytes = 1024;
-    }
-  in
-  { app_name = "fanout"; fns = [ entry; leaf ]; entries = [ ("entry", 1.0) ] }
-
 let root_sums roots =
   List.fold_left
     (fun (lat, ex, iso, disp, comm) (r : Request.root) ->
@@ -139,7 +115,8 @@ let member_lines buf ~label cluster =
    against each other to prove it. *)
 let cluster_scenario buf ~label ~shards ~servers:n ~arrivals ~gap_ns =
   let cluster =
-    Cluster.create ~forward_after:2 ~shards ~servers:n ~config:cluster_config fanout_app
+    Cluster.create ~forward_after:2 ~shards ~servers:n ~config:cluster_config
+      Exp_common.fanout_app
   in
   let roots = ref [] in
   Cluster.on_root_complete cluster (fun r -> roots := r :: !roots);
@@ -167,7 +144,7 @@ let cluster_poisson buf ~shards =
   let label = "cluster_poisson" in
   let cluster, recorder =
     Jord_workloads.Loadgen.run_cluster ~warmup:50 ~forward_after:1 ~shards ~servers:4
-      ~app:fanout_app ~config:cluster_config ~rate_mrps:2.0 ~duration_us:140.0 ()
+      ~app:Exp_common.fanout_app ~config:cluster_config ~rate_mrps:2.0 ~duration_us:140.0 ()
   in
   let open Jord_metrics.Recorder in
   Buffer.add_string buf

@@ -23,7 +23,8 @@
     The heap and the lanes are structures of parallel [int] arrays, so a
     push performs no heap allocation once the backing arrays are warm —
     the engine's dispatch-heavy hot loop runs allocation-free when callers
-    reuse their event closures (see [bench/engine_bench.ml]). *)
+    reuse their event closures (the structured suite's [engine] experiment
+    gates both, see docs/benchmarking.md). *)
 
 type 'a t
 

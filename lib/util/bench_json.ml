@@ -174,7 +174,7 @@ let read_baseline path =
 
 (* --- comparator --- *)
 
-type status = Ok_within | Advisory | Fail | Missing
+type status = Ok_within | Advisory | Fail | Missing | Unpinned
 
 type verdict = {
   v_experiment : string;
@@ -191,50 +191,79 @@ let deviation ~baseline ~current =
   let denom = Float.max (Float.abs baseline) 1e-12 in
   Float.abs (current -. baseline) /. denom
 
+(* A verdict on one metric; a NaN side is a side that does not hold it. *)
+let verdict ~experiment ~allowed ~metric ~kind ~baseline ~current status =
+  {
+    v_experiment = experiment;
+    v_metric = metric;
+    v_kind = kind;
+    v_baseline = baseline;
+    v_current = current;
+    v_deviation =
+      (if Float.is_nan baseline || Float.is_nan current then infinity
+       else deviation ~baseline ~current);
+    v_allowed = allowed;
+    v_status = status;
+  }
+
 let compare_docs ?(default_tolerance = 0.2) ~baseline ~current () =
+  let find name doc = List.find_opt (fun m -> m.name = name) doc.metrics in
+  let judge m ~base ~cur status =
+    verdict ~experiment:baseline.experiment
+      ~allowed:(Option.value m.tolerance ~default:default_tolerance)
+      ~metric:m.name ~kind:m.kind ~baseline:base ~current:cur status
+  in
   List.map
     (fun bm ->
-      let allowed = Option.value bm.tolerance ~default:default_tolerance in
-      match List.find_opt (fun cm -> cm.name = bm.name) current.metrics with
-      | None ->
-          {
-            v_experiment = baseline.experiment;
-            v_metric = bm.name;
-            v_kind = bm.kind;
-            v_baseline = bm.value;
-            v_current = nan;
-            v_deviation = infinity;
-            v_allowed = allowed;
-            v_status = Missing;
-          }
+      match find bm.name current with
+      | None -> judge bm ~base:bm.value ~cur:nan Missing
       | Some cm ->
-          let dev = deviation ~baseline:bm.value ~current:cm.value in
-          let status =
-            if dev <= allowed then Ok_within
-            else match bm.kind with Time -> Advisory | Count -> Fail
-          in
-          {
-            v_experiment = baseline.experiment;
-            v_metric = bm.name;
-            v_kind = bm.kind;
-            v_baseline = bm.value;
-            v_current = cm.value;
-            v_deviation = dev;
-            v_allowed = allowed;
-            v_status = status;
-          })
+          let v = judge bm ~base:bm.value ~cur:cm.value Ok_within in
+          if v.v_deviation <= v.v_allowed then v
+          else { v with v_status = (match bm.kind with Time -> Advisory | Count -> Fail) })
     baseline.metrics
+  (* A count the baseline does not hold is a gate nobody set. *)
+  @ List.filter_map
+      (fun cm ->
+        if cm.kind = Count && find cm.name baseline = None then
+          Some (judge cm ~base:nan ~cur:cm.value Unpinned)
+        else None)
+      current.metrics
+
+let compare_baseline b docs =
+  let report name = List.find_opt (fun (d : doc) -> d.experiment = name) in
+  let whole experiment status =
+    verdict ~experiment ~allowed:b.default_tolerance ~metric:"<report>" ~kind:Count
+      ~baseline:nan ~current:nan status
+  in
+  List.concat_map
+    (fun base ->
+      match report base.experiment docs with
+      | Some current ->
+          compare_docs ~default_tolerance:b.default_tolerance ~baseline:base ~current ()
+      | None -> [ whole base.experiment Missing ])
+    b.experiments
+  @ List.filter_map
+      (fun d ->
+        if report d.experiment b.experiments = None then Some (whole d.experiment Unpinned)
+        else None)
+      docs
 
 let has_failure verdicts =
-  List.exists (fun v -> v.v_status = Fail || v.v_status = Missing) verdicts
+  List.exists
+    (fun v ->
+      match v.v_status with Fail | Missing | Unpinned -> true | Ok_within | Advisory -> false)
+    verdicts
 
 let status_name = function
   | Ok_within -> "ok"
   | Advisory -> "ADVISORY"
   | Fail -> "FAIL"
   | Missing -> "MISSING"
+  | Unpinned -> "UNPINNED"
 
 let render_verdicts verdicts =
+  let num x = if Float.is_nan x then "-" else Printf.sprintf "%g" x in
   Render.table
     ~header:
       [ "experiment"; "metric"; "kind"; "baseline"; "current"; "dev"; "allowed"; "status" ]
@@ -245,8 +274,8 @@ let render_verdicts verdicts =
              v.v_experiment;
              v.v_metric;
              kind_name v.v_kind;
-             Printf.sprintf "%g" v.v_baseline;
-             (if Float.is_nan v.v_current then "-" else Printf.sprintf "%g" v.v_current);
+             num v.v_baseline;
+             num v.v_current;
              (if Float.is_finite v.v_deviation then
                 Printf.sprintf "%.1f%%" (100.0 *. v.v_deviation)
               else "-");

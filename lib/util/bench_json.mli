@@ -78,6 +78,7 @@ type status =
   | Advisory  (** [Time] metric out of tolerance: reported, never fails. *)
   | Fail  (** [Count] metric out of tolerance. *)
   | Missing  (** Metric present in the baseline, absent from the run. *)
+  | Unpinned  (** [Count] metric in the run that the baseline does not hold. *)
 
 type verdict = {
   v_experiment : string;
@@ -92,12 +93,18 @@ type verdict = {
 
 val compare_docs :
   ?default_tolerance:float -> baseline:doc -> current:doc -> unit -> verdict list
-(** One verdict per baseline metric, in baseline order. Metrics only in
-    [current] are ignored (new metrics are not regressions). The default
-    tolerance is 0.2 (20% relative). *)
+(** One verdict per baseline metric, in baseline order, then an [Unpinned]
+    one per [Count] metric only in [current]: a gate must ship with its
+    baseline value. [Time] metrics only in [current] are ignored. The
+    default tolerance is 0.2 (20% relative). *)
+
+val compare_baseline : baseline -> doc list -> verdict list
+(** {!compare_docs} for every baseline experiment against the report of the
+    same name, a [Missing] verdict for a baseline experiment with no report,
+    and an [Unpinned] one for a report the baseline does not hold. *)
 
 val has_failure : verdict list -> bool
-(** True when any verdict is [Fail] or [Missing]. *)
+(** True when any verdict is [Fail], [Missing] or [Unpinned]. *)
 
 val render_verdicts : verdict list -> string
 (** Aligned human-readable table of the verdicts. *)

@@ -161,7 +161,40 @@ let test_comparator_missing_metric_fails () =
       let verdicts = B.compare_docs ~baseline:sample_doc ~current () in
       let v = find_verdict "events" verdicts in
       Alcotest.(check bool) "missing = Missing" true (v.B.v_status = B.Missing);
-      Alcotest.(check bool) "missing fails the gate" true (B.has_failure verdicts))
+      Alcotest.(check bool) "missing fails the gate" true (B.has_failure verdicts));
+  (* The reverse: a count the baseline does not hold is an unset gate, and
+     fails; a new time metric is advisory anyway, so it passes. *)
+  with_current (fun current ->
+      let extra m = { current with B.metrics = current.B.metrics @ [ m ] } in
+      let verdicts =
+        B.compare_docs ~baseline:sample_doc
+          ~current:(extra (B.count ~name:"new_gate" ~unit_:"events" 1.0)) ()
+      in
+      let v = find_verdict "new_gate" verdicts in
+      Alcotest.(check bool) "unpinned = Unpinned" true (v.B.v_status = B.Unpinned);
+      Alcotest.(check bool) "unpinned count fails the gate" true (B.has_failure verdicts);
+      let verdicts =
+        B.compare_docs ~baseline:sample_doc
+          ~current:(extra (B.metric ~name:"new_time" ~unit_:"ns" [ 1.0 ])) ()
+      in
+      Alcotest.(check bool) "new time metric passes" false (B.has_failure verdicts);
+      (* Whole reports, both ways. *)
+      let b = { B.default_tolerance = 0.2; experiments = [ sample_doc ] } in
+      let reports docs =
+        let verdicts = B.compare_baseline b docs in
+        ( B.has_failure verdicts,
+          List.filter_map
+            (fun v ->
+              if v.B.v_metric = "<report>" then Some (v.B.v_experiment, v.B.v_status)
+              else None)
+            verdicts )
+      in
+      let other = { current with B.experiment = "other" } in
+      Alcotest.(check bool) "held report passes" true (reports [ current ] = (false, []));
+      Alcotest.(check bool) "unpinned report fails" true
+        (reports [ current; other ] = (true, [ ("other", B.Unpinned) ]));
+      Alcotest.(check bool) "missing report fails" true
+        (reports [ other ] = (true, [ ("engine", B.Missing); ("other", B.Unpinned) ])))
 
 let test_render_verdicts () =
   with_current (fun current ->

@@ -48,7 +48,7 @@ let test_plan_parse () =
 (* --- single-server scenarios --- *)
 
 let run_server ?(config = Test_cluster.small_config) ?tracer ~requests ~gap_ns () =
-  let server = Server.create config Test_cluster.fanout_app in
+  let server = Server.create config Jord_exp.Exp_common.fanout_app in
   (match tracer with Some _ as t -> Server.set_tracer server t | None -> ());
   let count = ref 0 in
   Server.on_root_complete server (fun _ -> incr count);
@@ -198,7 +198,7 @@ let test_forward_restamps_enqueued_at () =
     Array.init 2 (fun i ->
         Server.create ~engine
           { config with Server.seed = config.Server.seed + i }
-          Test_cluster.fanout_app)
+          Jord_exp.Exp_common.fanout_app)
   in
   let checked = ref 0 in
   Array.iteri
@@ -233,7 +233,9 @@ let test_forward_restamps_enqueued_at () =
 (* --- cluster chaos transport --- *)
 
 let run_chaos_cluster ?(servers = 3) ~config ~requests ~gap_ns () =
-  let cluster = Cluster.create ~forward_after:2 ~servers ~config Test_cluster.fanout_app in
+  let cluster =
+    Cluster.create ~forward_after:2 ~servers ~config Jord_exp.Exp_common.fanout_app
+  in
   let count = ref 0 in
   Cluster.on_root_complete cluster (fun _ -> incr count);
   let engine = Cluster.engine cluster in

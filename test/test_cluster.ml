@@ -1,30 +1,8 @@
 open Jord_faas
 module Time = Jord_sim.Time
 
-(* A fan-out-heavy app on a small machine with tight queues: the recipe for
-   internal requests that cannot be placed locally. *)
-let fanout_app =
-  let open Model in
-  let leaf =
-    {
-      name = "leaf";
-      make_phases = (fun _ -> [ compute 2000.0 ]);
-      state_bytes = 1024;
-      code_bytes = 1024;
-    }
-  in
-  let entry =
-    {
-      name = "entry";
-      make_phases =
-        (fun _ ->
-          List.init 6 (fun _ -> invoke ~mode:Async ~arg_bytes:256 "leaf") @ [ wait ]);
-      state_bytes = 1024;
-      code_bytes = 1024;
-    }
-  in
-  { app_name = "fanout"; fns = [ entry; leaf ]; entries = [ ("entry", 1.0) ] }
-
+(* A small machine with tight queues: with [Exp_common.fanout_app], the
+   recipe for internal requests that cannot be placed locally. *)
 let small_config =
   {
     Server.default_config with
@@ -34,7 +12,10 @@ let small_config =
   }
 
 let run_cluster ~servers n_requests =
-  let cluster = Cluster.create ~forward_after:2 ~servers ~config:small_config fanout_app in
+  let cluster =
+    Cluster.create ~forward_after:2 ~servers ~config:small_config
+      Jord_exp.Exp_common.fanout_app
+  in
   let count = ref 0 in
   Cluster.on_root_complete cluster (fun r ->
       Alcotest.(check bool) "finished flag" true r.Request.finished;
@@ -79,7 +60,7 @@ let test_single_server_never_forwards () =
 let test_forwarding_disabled_by_default () =
   (* Without a forward callback the server just retries; everything still
      completes, only slower. *)
-  let server = Server.create small_config fanout_app in
+  let server = Server.create small_config Jord_exp.Exp_common.fanout_app in
   let count = ref 0 in
   Server.on_root_complete server (fun _ -> incr count);
   let engine = Server.engine server in
@@ -118,7 +99,9 @@ let test_nightcore_cluster_never_forwards () =
   (* Cross-server ArgBuf forwarding is a Jord mechanism; the pipe-based
      baseline retries locally instead. *)
   let config = { small_config with Server.variant = Variant.Nightcore } in
-  let cluster = Cluster.create ~forward_after:2 ~servers:2 ~config fanout_app in
+  let cluster =
+    Cluster.create ~forward_after:2 ~servers:2 ~config Jord_exp.Exp_common.fanout_app
+  in
   let count = ref 0 in
   Cluster.on_root_complete cluster (fun _ -> incr count);
   let engine = Cluster.engine cluster in

@@ -17,7 +17,7 @@ let instrumented_ring ~servers:n ~requests ~gap_ns =
   let servers =
     Array.init n (fun i ->
         Server.create ~engine { config with Server.seed = config.Server.seed + i }
-          Test_cluster.fanout_app)
+          Jord_exp.Exp_common.fanout_app)
   in
   let hops = Hashtbl.create 32 in
   let first_hops = ref [] in

@@ -25,7 +25,7 @@ let contains needle hay =
 let traced_chaos_run ?(servers = 3) ?(capacity = 1 lsl 17) ~config ~requests
     ~gap_ns () =
   let cluster =
-    Cluster.create ~forward_after:2 ~servers ~config Test_cluster.fanout_app
+    Cluster.create ~forward_after:2 ~servers ~config Jord_exp.Exp_common.fanout_app
   in
   let tracer = Trace.create ~capacity () in
   Cluster.set_tracer cluster (Some tracer);
@@ -98,7 +98,7 @@ let test_single_server_crash_conservation () =
         Some { Plan.none with Plan.seed = 11; crash = 0.15; restart_us = 4.0 };
     }
   in
-  let server = Server.create config Test_cluster.fanout_app in
+  let server = Server.create config Jord_exp.Exp_common.fanout_app in
   let tracer = Trace.create () in
   Server.set_tracer server (Some tracer);
   let roots = ref [] in

@@ -177,7 +177,7 @@ let test_netmodel_lookahead () =
 
 let test_cluster_validation () =
   let config = Test_cluster.small_config in
-  let app = Test_cluster.fanout_app in
+  let app = Jord_exp.Exp_common.fanout_app in
   Alcotest.check_raises "zero shards"
     (Invalid_argument "Cluster.create: shards must be positive") (fun () ->
       ignore (Cluster.create ~shards:0 ~servers:3 ~config app : Cluster.t));
@@ -210,7 +210,7 @@ let test_cluster_validation () =
 let run_cluster ?(config = Test_cluster.small_config) ~shards n_requests =
   let cluster =
     Cluster.create ~forward_after:2 ~shards ~servers:3 ~config
-      Test_cluster.fanout_app
+      Jord_exp.Exp_common.fanout_app
   in
   let tracer = Trace.create ~capacity:32768 () in
   Cluster.set_tracer cluster (Some tracer);
@@ -261,7 +261,7 @@ let run_chaos_cluster ~plan ~shards n_requests =
   in
   let cluster =
     Cluster.create ~forward_after:2 ~shards ~servers:3 ~config
-      Test_cluster.fanout_app
+      Jord_exp.Exp_common.fanout_app
   in
   let tracer = Trace.create ~capacity:65536 () in
   Cluster.set_tracer cluster (Some tracer);
@@ -356,7 +356,7 @@ let fanout_jbsq1 ~shards =
   in
   let cluster, recorder =
     Jord_workloads.Loadgen.run_cluster ~warmup:500 ~forward_after:2 ~shards ~servers:8
-      ~app:Test_cluster.fanout_app ~config ~rate_mrps:3.0 ~duration_us:600.0
+      ~app:Jord_exp.Exp_common.fanout_app ~config ~rate_mrps:3.0 ~duration_us:600.0
       ~seed:963445776 ()
   in
   let module R = Jord_metrics.Recorder in
@@ -390,8 +390,8 @@ let grid_app ~leaf_ns =
     { Model.name = "leaf"; make_phases = (fun _ -> [ Model.compute leaf_ns ]);
       state_bytes = 1024; code_bytes = 1024 }
   in
-  { Test_cluster.fanout_app with
-    Model.fns = [ List.hd Test_cluster.fanout_app.Model.fns; leaf ] }
+  { Jord_exp.Exp_common.fanout_app with
+    Model.fns = [ List.hd Jord_exp.Exp_common.fanout_app.Model.fns; leaf ] }
 
 type arrivals =
   | Poisson of { rate_mrps : float; duration_us : float }

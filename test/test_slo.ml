@@ -556,7 +556,7 @@ let chaos_run spec =
     }
   in
   let cluster =
-    Cluster.create ~forward_after:2 ~servers:3 ~config Test_cluster.fanout_app
+    Cluster.create ~forward_after:2 ~servers:3 ~config Jord_exp.Exp_common.fanout_app
   in
   let tracer = Trace.create ~capacity:(1 lsl 17) () in
   Cluster.set_tracer cluster (Some tracer);
