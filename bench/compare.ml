@@ -12,21 +12,22 @@
    report that the baseline does not hold.
 
    --write-baseline refreshes the baseline from the reports in --dir —
-   check the diff in and say why the numbers moved. *)
+   check the diff in and say why the numbers moved. --tolerance sets the
+   default tolerance of a baseline being written; the gate reads its
+   tolerances from the baseline file alone, so there it is a usage error. *)
 
 module B = Jord_util.Bench_json
 
 let usage () =
   prerr_endline
-    "usage: compare.exe --dir DIR (--baseline FILE [--tolerance T] | \
-     --write-baseline FILE [--tolerance T])";
+    "usage: compare.exe --dir DIR (--baseline FILE | --write-baseline FILE [--tolerance T])";
   exit 2
 
 let () =
   let dir = ref None
   and baseline = ref None
   and write_baseline = ref None
-  and tolerance = ref 0.2 in
+  and tolerance = ref None in
   let rec parse = function
     | [] -> ()
     | "--dir" :: v :: rest ->
@@ -41,7 +42,7 @@ let () =
     | "--tolerance" :: v :: rest -> (
         match float_of_string_opt v with
         | Some t when t >= 0.0 ->
-            tolerance := t;
+            tolerance := Some t;
             parse rest
         | Some _ | None -> usage ())
     | _ -> usage ()
@@ -65,8 +66,10 @@ let () =
   in
   match (!baseline, !write_baseline) with
   | None, None | Some _, Some _ -> usage ()
+  | Some _, None when !tolerance <> None -> usage ()
   | None, Some out ->
-      let b = { B.default_tolerance = !tolerance; experiments = docs_in_dir () } in
+      let tolerance = Option.value !tolerance ~default:0.2 in
+      let b = { B.default_tolerance = tolerance; experiments = docs_in_dir () } in
       if b.B.experiments = [] then begin
         Printf.eprintf "compare: no BENCH_*.json reports in %s\n" dir;
         exit 2
@@ -76,7 +79,7 @@ let () =
       output_char oc '\n';
       close_out oc;
       Printf.printf "wrote %s (%d experiments, default tolerance %g)\n" out
-        (List.length b.B.experiments) !tolerance
+        (List.length b.B.experiments) tolerance
   | Some path, None -> (
       match B.read_baseline path with
       | Error msg ->

@@ -1,8 +1,9 @@
 (* Golden-run scenarios: a fixed set of seeded simulations whose outputs are
    checked bit-for-bit against test/golden.expected. The scenarios cover the
    paths a core refactor can disturb — the event engine's ordering, the
-   executor/orchestrator interplay, cross-server forwarding, and the Poisson
-   load generator — so any change to a measured number shows up as a diff.
+   executor/orchestrator interplay, cross-server forwarding, the Poisson
+   load generator, and the fleet's balancer, autoscaler and population
+   traffic — so any change to a measured number shows up as a diff.
 
    Every float is printed with %.17g: two runs agree only if they performed
    the exact same arithmetic in the exact same order. *)
@@ -153,6 +154,49 @@ let cluster_poisson buf ~shards =
        (f17 (p50_us recorder)) (f17 (p99_us recorder)));
   member_lines buf ~label cluster
 
+(* A small autoscaled fleet under diurnal + flash population traffic, one
+   run per balancer policy: the diurnal trough drains members, the flash
+   boots them cold, and the affinity run spills past saturated warm routes
+   (hits < routed). Sharded like the cluster scenarios. *)
+let fleet_scenario buf ~shards policy =
+  let module Fleet = Jord_fleet.Fleet in
+  let get = function Ok v -> v | Error m -> invalid_arg m in
+  let label = "fleet/" ^ Jord_fleet.Lb.to_string policy in
+  let cfg =
+    {
+      Fleet.default_config with
+      Fleet.servers = 64;
+      policy;
+      member = { Jord_fleet.Fserver.default_config with Jord_fleet.Fserver.slots = 8; queue_cap = 4 };
+      autoscale = Some (get (Jord_fleet.Autoscaler.parse "fast,min=12,boot-us=60"));
+      shards;
+    }
+  in
+  let shape =
+    get
+      (Jord_workloads.Traffic.parse
+         "users=20000,zipf=1.1,rate=40,amp=0.5,period-us=400,flash=150:100:3,seed=7")
+  in
+  let fleet = Fleet.create cfg ~app:Jord_workloads.Hipster.app in
+  Fleet.run ~slo:(get (Jord_obsv.Slo.parse "ci")) fleet ~shape ~duration_us:400.0;
+  let lat = Fleet.latency fleet in
+  let q p = f17 (Jord_sim.Time.to_us (Jord_telemetry.Sketch.quantile lat p)) in
+  Buffer.add_string buf
+    (Printf.sprintf
+       "%s routed=%d hits=%d cold=%d boots=%d drains=%d completed=%d shed=%d p50=%s p99=%s\n"
+       label (Fleet.routed fleet) (Fleet.affinity_hits fleet) (Fleet.cold_starts fleet)
+       (Fleet.boots fleet) (Fleet.drains fleet) (Fleet.completed fleet) (Fleet.shed fleet)
+       (q 50.0) (q 99.0));
+  Option.iter
+    (fun r ->
+      List.iter
+        (fun row ->
+          Buffer.add_string buf
+            (Printf.sprintf "%s slo %s\n" label
+               (String.concat " " (Jord_obsv.Rollup.verdict_cells row))))
+        (Jord_obsv.Rollup.rows r))
+    (Fleet.rollup fleet)
+
 let loadgen buf (label, app, variant, rate) =
   let config = { Server.default_config with Server.variant } in
   let server, recorder =
@@ -190,6 +234,9 @@ let scenarios ~shards : (unit -> string) list =
         ("hipster-nightcore", Jord_workloads.Hipster.app, Variant.Nightcore, 0.4);
       ]
   @ [ in_buf (cluster_poisson ~shards) ]
+  @ List.map
+      (fun policy -> in_buf (fun buf -> fleet_scenario buf ~shards policy))
+      [ Jord_fleet.Lb.Affinity; Jord_fleet.Lb.Least_outstanding; Jord_fleet.Lb.Round_robin ]
 
 let report ?(jobs = 1) ?(shards = 1) () =
   let scenarios = scenarios ~shards in

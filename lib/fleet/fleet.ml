@@ -50,11 +50,8 @@ type t = {
   engine : Engine.t;  (* the balancer's engine (shard 0 when sharded) *)
   members : Fserver.t array;
   state : lifecycle array;  (* written through [set_state] only *)
-  routable : bool array;  (* state = Up, the balancer's view of [state] *)
-  outstanding : int array;
   mutable outstanding_total : int;
-  lb : Lb.t;
-  view : Lb.view;  (* [routable] and [outstanding], read by [Lb.pick] *)
+  lb : Lb.t;  (* routable = (state = Up), and the per-server in-flight counts *)
   autoscale : (Autoscaler.spec * Autoscaler.ctl) option;
   registry : Registry.t;
   latency : Sketch.t;
@@ -178,7 +175,7 @@ let record_span t ~tracer ~req ~user ~entry ~server ~hit ~outcome ~submit_ps
 
 let set_state t s st =
   t.state.(s) <- st;
-  t.routable.(s) <- st = Up
+  Lb.set_routable t.lb s (st = Up)
 
 let finish_drain t s =
   set_state t s Down;
@@ -186,7 +183,7 @@ let finish_drain t s =
 
 let complete t ~server ~entry ~submit_ps ~req ~user ~hit ~ok ~queue_ps ~cold_ps
     ~service_ps =
-  t.outstanding.(server) <- t.outstanding.(server) - 1;
+  Lb.complete t.lb server;
   t.outstanding_total <- t.outstanding_total - 1;
   let now = Engine.now t.engine in
   if ok then begin
@@ -215,7 +212,7 @@ let complete t ~server ~entry ~submit_ps ~req ~user ~hit ~ok ~queue_ps ~cold_ps
             : int));
     observe_rollup t ~at_ps:now ~entry ~latency_ps:0 ~shed:true ~trace_id:(-1)
   end;
-  if t.state.(server) = Draining && t.outstanding.(server) = 0 then finish_drain t server
+  if t.state.(server) = Draining && Lb.outstanding t.lb server = 0 then finish_drain t server
 
 let route t ~user =
   (* Request ids are arrival indices: arrivals fire on the balancer engine
@@ -225,7 +222,7 @@ let route t ~user =
   t.arrivals <- t.arrivals + 1;
   let entry = entry_of_user t ~user in
   let now = Engine.now t.engine in
-  let s = Lb.pick t.lb t.view ~entry in
+  let s = Lb.pick t.lb ~entry in
   if s < 0 then begin
     t.lb_shed <- t.lb_shed + 1;
     (match t.tracer with
@@ -242,7 +239,7 @@ let route t ~user =
     let hit = Lb.hit t.lb in
     if hit then t.affinity_hits <- t.affinity_hits + 1;
     t.routed <- t.routed + 1;
-    t.outstanding.(s) <- t.outstanding.(s) + 1;
+    Lb.route t.lb s;
     t.outstanding_total <- t.outstanding_total + 1;
     let ow = one_way t in
     to_server t ~server:s ~at:(Time.( + ) now ow) (fun seng ->
@@ -313,7 +310,7 @@ let scale_down t k ~util =
       t.drains <- t.drains + 1;
       incr drained;
       if t.up_count < t.up_min then t.up_min <- t.up_count;
-      if t.outstanding.(s) = 0 then finish_drain t s
+      if Lb.outstanding t.lb s = 0 then finish_drain t s
     end;
     decr i
   done;
@@ -440,8 +437,13 @@ let create cfg ~app =
     match autoscale with None -> n | Some (spec, _) -> spec.Autoscaler.min_servers
   in
   let state = Array.init n (fun i -> if i < initial_up then Up else Down) in
-  let routable = Array.map (fun st -> st = Up) state in
-  let outstanding = Array.make n 0 in
+  let lb =
+    Lb.create cfg.policy ~servers:n ~entries:(Array.length entries)
+      ~spill:cfg.member.Fserver.slots
+  in
+  for i = initial_up to n - 1 do
+    Lb.set_routable lb i false
+  done;
   let t =
     {
       cfg;
@@ -451,11 +453,8 @@ let create cfg ~app =
       engine;
       members;
       state;
-      routable;
-      outstanding;
       outstanding_total = 0;
-      lb = Lb.create cfg.policy ~servers:n ~entries:(Array.length entries);
-      view = { Lb.routable; outstanding; spill = cfg.member.Fserver.slots };
+      lb;
       autoscale;
       registry = Registry.create ();
       latency = Sketch.create ();

@@ -7,10 +7,31 @@ let sub = 16 (* sub-buckets per octave *)
 let sub_log2 = 4
 let bucket_count = 960
 
-(* Position of the most significant set bit (v > 0). *)
+(* Position of the most significant set bit (v > 0), by halving: six
+   fixed steps cover the 62 value bits of a positive int. *)
 let msb v =
-  let rec go v acc = if v <= 1 then acc else go (v lsr 1) (acc + 1) in
-  go v 0
+  let v = ref v and b = ref 0 in
+  if !v lsr 32 <> 0 then begin
+    v := !v lsr 32;
+    b := 32
+  end;
+  if !v lsr 16 <> 0 then begin
+    v := !v lsr 16;
+    b := !b + 16
+  end;
+  if !v lsr 8 <> 0 then begin
+    v := !v lsr 8;
+    b := !b + 8
+  end;
+  if !v lsr 4 <> 0 then begin
+    v := !v lsr 4;
+    b := !b + 4
+  end;
+  if !v lsr 2 <> 0 then begin
+    v := !v lsr 2;
+    b := !b + 2
+  end;
+  if !v lsr 1 <> 0 then !b + 1 else !b
 
 let bucket_index v =
   if v < sub then v

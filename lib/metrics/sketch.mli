@@ -12,7 +12,8 @@
 
     [count], [sum], [min] and [max] are exact (plain integer arithmetic),
     which the online-vs-post-hoc conservation property in the test suite
-    relies on; only [quantile] is bucketed. *)
+    relies on; only [quantile] is bucketed. {!add} costs a constant number
+    of integer steps, whatever the value. *)
 
 type t
 
@@ -61,7 +62,8 @@ val quantile : t -> float -> int
     an empty sketch. Deterministic and merge-order independent. *)
 
 val bucket_index : int -> int
-(** The ladder: which bucket a value lands in (exposed for tests). *)
+(** The ladder: which bucket a value lands in (exposed for tests). Constant
+    time: the value's top bit is found by six halving shifts. *)
 
 val bucket_upper : int -> int
 (** Inclusive upper boundary of a bucket (exposed for tests). *)

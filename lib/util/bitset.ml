@@ -14,6 +14,10 @@ let remove words base i =
   let w = base + (i / 62) in
   words.(w) <- words.(w) land lnot (1 lsl (i mod 62))
 
+let mem words base i =
+  check i;
+  words.(base + (i / 62)) land (1 lsl (i mod 62)) <> 0
+
 let rec is_empty (words : int array) base n =
   n = 0 || (words.(base) = 0 && is_empty words (base + 1) (n - 1))
 
@@ -25,11 +29,13 @@ let debruijn32 =
   "\000\001\028\002\029\014\024\003\030\022\020\015\025\017\004\008\
    \031\027\013\023\021\019\016\007\026\012\018\006\011\005\010\009"
 
-let log2_32 b = Char.code debruijn32.[((b * 0x077CB531) land 0xFFFFFFFF) lsr 27]
+let[@inline] log2_32 b = Char.code debruijn32.[((b * 0x077CB531) land 0xFFFFFFFF) lsr 27]
 
-let lowest_bit w =
+let[@inline] lowest_bit w =
   let b = w land -w in
   if b land 0xFFFFFFFF <> 0 then log2_32 b else 32 + log2_32 (b lsr 32)
+
+let member_at k w = (k * 62) + lowest_bit w
 
 (* The first non-zero word of [words.(w .. stop - 1)], or [stop]. *)
 let rec nonzero_from (words : int array) w stop =
@@ -45,6 +51,6 @@ let next_member words base n i =
     else begin
       let stop = base + n in
       let w = nonzero_from words (base + w + 1) stop in
-      if w = stop then -1 else ((w - base) * 62) + lowest_bit words.(w)
+      if w = stop then -1 else member_at (w - base) words.(w)
     end
   end

@@ -1,5 +1,6 @@
 (** Sets of small non-negative ints (coherence and VTD sharer sets, up to
-    512 cores) stored in place in a slice of an [int array].
+    512 cores; the fleet balancer's server sets) stored in place in a slice
+    of an [int array].
 
     A set is the [n] words [words.(base) .. words.(base + n - 1)]; member
     [i] is bit [i mod 62] of [words.(base + i / 62)]. Many sets share one
@@ -20,6 +21,15 @@ val add : int array -> int -> int -> unit
 val remove : int array -> int -> int -> unit
 (** [remove words base i] removes [i]; removing an absent member does
     nothing. @raise Invalid_argument as {!add}. *)
+
+val member_at : int -> int -> int
+(** [member_at k w] is the smallest member that word [k] of a slice
+    holds when that word is [w <> 0]: callers that combine sets word by
+    word (an intersection, say) name the first member of the result. *)
+
+val mem : int array -> int -> int -> bool
+(** [mem words base i]: [i] is in the set at [base].
+    @raise Invalid_argument as {!add}. *)
 
 val is_empty : int array -> int -> int -> bool
 (** [is_empty words base n]: the [n]-word set at [base] has no member. *)

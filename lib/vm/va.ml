@@ -24,17 +24,25 @@ let encode cfg sc ~index ~offset =
 let is_jord cfg va =
   va >= 0 && (va lsr top_lo) land ((1 lsl top_width) - 1) = cfg.top_tag
 
+(* Read once, so the parser below makes no Size_class call: the class
+   count, and the offset width of class 0 (class [i] has [i] more). *)
+let class_count = Size_class.count
+let min_offset_bits = Size_class.offset_bits (Size_class.of_index 0)
+
 (* The one parser of the layout: the VTE position of a Jord VA's VMA, or -1
-   when the VA is not Jord-managed or names no slot. *)
+   when the VA is not Jord-managed or names no slot. [index] is within the
+   class's budget, [index < table_capacity / class_count], exactly when
+   [(index + 1) * class_count <= table_capacity]: no division. *)
 let vte_index_of_va cfg va =
   if not (is_jord cfg va) then -1
   else
     let sc_i = (va lsr class_lo) land ((1 lsl class_width) - 1) in
-    if sc_i >= Size_class.count then -1
+    if sc_i >= class_count then -1
     else
-      let offs_bits = Size_class.offset_bits (Size_class.of_index sc_i) in
+      let offs_bits = min_offset_bits + sc_i in
       let index = (va lsr offs_bits) land ((1 lsl (class_lo - offs_bits)) - 1) in
-      if index >= slots_per_class cfg then -1 else (index * Size_class.count) + sc_i
+      let slot = index * class_count in
+      if slot + class_count > cfg.table_capacity then -1 else slot + sc_i
 
 let class_at i = Size_class.of_index (i mod Size_class.count)
 let index_at i = i / Size_class.count

@@ -159,21 +159,36 @@ let describe t =
 
 let two_pi = 8.0 *. atan 1.0
 
-let rate_at t ~us =
-  let diurnal =
-    1.0 +. (t.diurnal_amp *. sin (two_pi *. us /. t.diurnal_period_us))
-  in
-  let boost =
-    List.fold_left
-      (fun acc f -> if us >= f.at_us && us < f.at_us +. f.dur_us then acc *. f.boost else acc)
-      1.0 t.flash
-  in
-  t.rate_mrps *. diurnal *. boost
+(* The product of the boosts of the flash windows active at [us], in list
+   order. A loop, not a fold, so the thinning test that inlines it
+   allocates nothing. *)
+let[@inline] boost flash us =
+  let acc = ref 1.0 and fs = ref flash and go = ref true in
+  while !go do
+    match !fs with
+    | [] -> go := false
+    | f :: rest ->
+        if us >= f.at_us && us < f.at_us +. f.dur_us then acc := !acc *. f.boost;
+        fs := rest
+  done;
+  !acc
 
-let peak_rate t =
-  t.rate_mrps
-  *. (1.0 +. t.diurnal_amp)
-  *. List.fold_left (fun acc f -> acc *. f.boost) 1.0 t.flash
+let[@inline] rate_boosted t us boost =
+  t.rate_mrps *. (1.0 +. (t.diurnal_amp *. sin (two_pi *. us /. t.diurnal_period_us))) *. boost
+
+let rate_at t ~us = rate_boosted t us (boost t.flash us)
+
+(* [rate_at]'s extremes before flash boosts, at sin = -1 and sin = +1.
+   Rounding is monotone and [rate_boosted] multiplies in the same order,
+   so [diurnal_lo t *. b <= rate_boosted t us b <= diurnal_hi t *. b]. *)
+let diurnal_lo t = t.rate_mrps *. (1.0 -. t.diurnal_amp)
+let diurnal_hi t = t.rate_mrps *. (1.0 +. t.diurnal_amp)
+
+let rate_bounds t ~us =
+  let b = boost t.flash us in
+  (diurnal_lo t *. b, diurnal_hi t *. b)
+
+let peak_rate t = diurnal_hi t *. List.fold_left (fun acc f -> acc *. f.boost) 1.0 t.flash
 
 (* Vose alias table over the Zipf rank weights (r+1)^-s: O(users) to build,
    O(1) per draw, and a pure function of (users, s) — no PRNG involved.
@@ -238,48 +253,96 @@ let alias_index a i = get32 a.alias i
 let alias_of_shape t =
   alias_build (Array.init t.users (fun r -> (float_of_int (r + 1)) ** -.t.zipf_s))
 
-let alias_pick a prng =
-  let n = Array.length a.prob in
-  let i = Jord_util.Prng.int prng n in
-  if Jord_util.Prng.float prng 1.0 < a.prob.(i) then i else alias_index a i
-
 type arrival = { at : Jord_sim.Time.t; user : int }
+
+(* Arrivals are made [batch] at a time into the buffers of [t]. *)
+let batch = 64
 
 type t = {
   shape : shape;
   zipf : alias;
   prng : Jord_util.Prng.t;
   lam_max : float;
+  gap_mean : float;  (* 1 / lam_max, boxed once here rather than per draw *)
+  lo : float;  (* diurnal_lo shape *)
+  hi : float;  (* diurnal_hi shape *)
   duration_us : float;
-  mutable t_us : float;
+  mutable t_us : float;  (* the last candidate's time *)
+  mutable ended : bool;  (* a candidate reached the horizon: no more draws *)
+  at : int array;  (* the batch's arrival times, ps *)
+  user : int array;  (* alias columns, then resolved users *)
+  coin : float array;
+  mutable len : int;
+  mutable pos : int;  (* next arrival of the batch to hand out *)
   mutable produced : int;
 }
 
 let make shape ~duration_us =
   (match validate shape with Ok () -> () | Error m -> invalid_arg ("Traffic.make: " ^ m));
   if duration_us <= 0.0 then invalid_arg "Traffic.make: duration_us must be > 0";
+  let lam_max = peak_rate shape in
   {
     shape;
     zipf = alias_of_shape shape;
     prng = Jord_util.Prng.create ~seed:shape.seed;
-    lam_max = peak_rate shape;
+    lam_max;
+    gap_mean = 1.0 /. lam_max;
+    lo = diurnal_lo shape;
+    hi = diurnal_hi shape;
     duration_us;
     t_us = 0.0;
+    ended = false;
+    at = Array.make batch 0;
+    user = Array.make batch 0;
+    coin = Array.make batch 0.0;
+    len = 0;
+    pos = 0;
     produced = 0;
   }
 
 (* Thinning (Lewis–Shedler): candidate arrivals at the constant envelope
    rate, each accepted with probability rate_at/lam_max. Rejected draws
-   consume PRNG state too, so the stream is one deterministic sequence. *)
-let rec next t =
-  t.t_us <- t.t_us +. Jord_util.Sample.exponential t.prng ~mean:(1.0 /. t.lam_max);
-  if t.t_us >= t.duration_us then None
-  else if Jord_util.Prng.float t.prng t.lam_max < rate_at t.shape ~us:t.t_us then begin
-    let user = alias_pick t.zipf t.prng in
+   consume PRNG state too, so the stream is one deterministic sequence:
+   per candidate the gap, then the acceptance draw, then — if accepted —
+   the alias column and coin. The acceptance draw is first held against
+   [rate_at]'s bounds at this instant, so [sin] runs only when it falls
+   between them. The users are resolved after the batch: the table reads
+   consume no draws, so their cache misses overlap. *)
+let refill t =
+  let module Prng = Jord_util.Prng in
+  let n = Array.length t.zipf.prob in
+  let us = ref t.t_us and k = ref 0 in
+  while !k < batch && not t.ended do
+    us := !us +. Jord_util.Sample.exponential t.prng ~mean:t.gap_mean;
+    if !us >= t.duration_us then t.ended <- true
+    else begin
+      let u = Prng.float t.prng t.lam_max in
+      let b = boost t.shape.flash !us in
+      if u < t.lo *. b || (u < t.hi *. b && u < rate_boosted t.shape !us b) then begin
+        t.at.(!k) <- Jord_sim.Time.of_us !us;
+        t.user.(!k) <- Prng.int t.prng n;
+        t.coin.(!k) <- Prng.float t.prng 1.0;
+        incr k
+      end
+    end
+  done;
+  t.t_us <- !us;
+  for i = 0 to !k - 1 do
+    let c = t.user.(i) in
+    if not (t.coin.(i) < t.zipf.prob.(c)) then t.user.(i) <- alias_index t.zipf c
+  done;
+  t.len <- !k;
+  t.pos <- 0
+
+let next t =
+  if t.pos = t.len && not t.ended then refill t;
+  if t.pos = t.len then None
+  else begin
+    let i = t.pos in
+    t.pos <- i + 1;
     t.produced <- t.produced + 1;
-    Some { at = Jord_sim.Time.of_us t.t_us; user }
+    Some { at = t.at.(i); user = t.user.(i) }
   end
-  else next t
 
 let generated t = t.produced
 

@@ -9,7 +9,15 @@
     the instantaneous rate [rate_at] and — crucially for the sharded fleet
     runs — a pure function of the shape: the same shape yields the same
     byte sequence of arrivals whether consumed live ({!make}/{!next}) or
-    pre-generated ({!pregen}), at any shard count. *)
+    pre-generated ({!pregen}), at any shard count.
+
+    The live stream makes arrivals in fixed batches of 64. Per candidate it
+    draws, in order, the gap, the acceptance draw and — if accepted — the
+    Zipf alias column and coin; the acceptance draw is held against
+    {!rate_bounds} first, so [sin] is evaluated only when it falls between
+    them. Once a batch is full, one pass resolves its users from the alias
+    table: those reads consume no draws, so their cache misses overlap and
+    the stream is the one a one-at-a-time generator would give. *)
 
 type flash = {
   at_us : float;  (** Burst start, relative to the run start. *)
@@ -56,6 +64,13 @@ val rate_at : shape -> us:float -> float
 val peak_rate : shape -> float
 (** Upper bound on {!rate_at} over any horizon — the thinning envelope. *)
 
+val rate_bounds : shape -> us:float -> float * float
+(** [(rate * (1 - amp) * b, rate * (1 + amp) * b)], [b] the product of
+    the boosts active at [us]: the floats {!rate_at} lies between, bounds
+    included, whatever [sin] returns — rounding is monotone and both use
+    one association. The thinning test accepts below the first and
+    rejects at or above the second without evaluating {!rate_at}. *)
+
 type arrival = { at : Jord_sim.Time.t; user : int }
 
 type t
@@ -66,7 +81,8 @@ val make : shape -> duration_us:float -> t
     times are nondecreasing and all land in [\[0, duration_us)]. *)
 
 val next : t -> arrival option
-(** The next arrival, or [None] once the horizon is reached. *)
+(** The next arrival, or [None] once the horizon is reached; after that
+    the stream makes no further draws. *)
 
 val generated : t -> int
 (** Arrivals produced so far. *)

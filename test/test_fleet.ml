@@ -15,72 +15,78 @@ let check_int = Alcotest.(check int)
 
 (* --- Lb --- *)
 
-let mk_view ?(routable = fun _ -> true) ~outstanding ~n ~spill () =
-  { Lb.routable = Array.init n routable; outstanding; spill }
+(* A balancer whose servers hold the given in-flight counts. *)
+let mk_lb pol ?(entries = 1) ~outstanding ~spill () =
+  let lb = Lb.create pol ~servers:(Array.length outstanding) ~entries ~spill in
+  Array.iteri
+    (fun s o ->
+      for _ = 1 to o do
+        Lb.route lb s
+      done)
+    outstanding;
+  lb
 
-let pick_hit lb v ~entry =
-  let s = Lb.pick lb v ~entry in
+let pick_hit lb ~entry =
+  let s = Lb.pick lb ~entry in
   (s, Lb.hit lb)
 
 let test_lb_round_robin () =
-  let lb = Lb.create Lb.Round_robin ~servers:3 ~entries:1 in
-  let v = mk_view ~outstanding:[| 0; 0; 0 |] ~n:3 ~spill:4 () in
-  let picks = List.init 6 (fun _ -> Lb.pick lb v ~entry:0) in
+  let lb = mk_lb Lb.Round_robin ~outstanding:[| 0; 0; 0 |] ~spill:4 () in
+  let picks = List.init 6 (fun _ -> Lb.pick lb ~entry:0) in
   check "cycles" true (picks = [ 0; 1; 2; 0; 1; 2 ]);
-  let v =
-    mk_view ~routable:(fun i -> i <> 1) ~outstanding:[| 0; 0; 0 |] ~n:3 ~spill:4 ()
-  in
-  let picks = List.init 4 (fun _ -> Lb.pick lb v ~entry:0) in
+  Lb.set_routable lb 1 false;
+  let picks = List.init 4 (fun _ -> Lb.pick lb ~entry:0) in
   check "skips unroutable" true (List.for_all (fun p -> p <> 1) picks)
 
 let test_lb_least_outstanding () =
-  let lb = Lb.create Lb.Least_outstanding ~servers:4 ~entries:1 in
   let out = [| 3; 1; 1; 5 |] in
-  let v = mk_view ~outstanding:out ~n:4 ~spill:4 () in
-  check_int "min wins, lowest id ties" 1 (Lb.pick lb v ~entry:0);
-  let v = mk_view ~routable:(fun _ -> false) ~outstanding:out ~n:4 ~spill:4 () in
-  check "none routable" true (Lb.pick lb v ~entry:0 = -1)
+  let lb = mk_lb Lb.Least_outstanding ~outstanding:out ~spill:4 () in
+  check_int "min wins, lowest id ties" 1 (Lb.pick lb ~entry:0);
+  (* Every server at or past spill: the scan still finds the minimum. *)
+  let lb2 = mk_lb Lb.Least_outstanding ~outstanding:out ~spill:1 () in
+  check_int "above spill, min wins" 1 (Lb.pick lb2 ~entry:0);
+  Array.iteri (fun s _ -> Lb.set_routable lb s false) out;
+  check "none routable" true (Lb.pick lb ~entry:0 = -1)
 
 let test_lb_affinity () =
-  let lb = Lb.create Lb.Affinity ~servers:3 ~entries:9 in
-  let out = [| 0; 0; 0 |] in
-  let v = mk_view ~outstanding:out ~n:3 ~spill:2 () in
+  let lb = mk_lb Lb.Affinity ~entries:9 ~outstanding:[| 0; 0; 0 |] ~spill:2 () in
   (* First route opens the entry on the least-outstanding server (0). *)
-  let s0, hit0 = pick_hit lb v ~entry:7 in
+  let s0, hit0 = pick_hit lb ~entry:7 in
   check "first is a cold route" true ((s0, hit0) = (0, false));
-  out.(0) <- 1;
+  Lb.route lb 0;
   (* Below the spill threshold the warm server keeps winning. *)
-  let s1, hit1 = pick_hit lb v ~entry:7 in
+  let s1, hit1 = pick_hit lb ~entry:7 in
   check "warm hit" true ((s1, hit1) = (0, true));
-  out.(0) <- 2;
+  Lb.route lb 0;
   (* At the threshold it spills to a fresh server and remembers it. *)
-  let s2, hit2 = pick_hit lb v ~entry:7 in
+  let s2, hit2 = pick_hit lb ~entry:7 in
   check "spills when saturated" true ((s2, hit2) = (1, false));
-  out.(1) <- 1;
-  let s3, hit3 = pick_hit lb v ~entry:7 in
+  Lb.route lb 1;
+  let s3, hit3 = pick_hit lb ~entry:7 in
   check "spilled server is now warm" true ((s3, hit3) = (1, true));
   (* Other entries are unaffected by entry 7's warm set. *)
-  let _, hit4 = pick_hit lb v ~entry:8 in
+  let _, hit4 = pick_hit lb ~entry:8 in
   check "separate entries separate warmth" true (hit4 = false);
   (* Forgetting a server drops its warm routes. *)
   Lb.forget lb 0;
-  out.(0) <- 0;
-  out.(1) <- 0;
-  let s5, hit5 = pick_hit lb v ~entry:7 in
+  Lb.complete lb 0;
+  Lb.complete lb 0;
+  Lb.complete lb 1;
+  let s5, hit5 = pick_hit lb ~entry:7 in
   check "forgotten server no longer warm-preferred" true ((s5, hit5) = (1, true));
-  ignore s5
+  check "completion below zero is refused" true
+    (match Lb.complete lb 2 with () -> false | exception Invalid_argument _ -> true)
 
 let test_lb_picks_allocate_nothing () =
   (* The balancer runs once per fleet request. *)
   List.iter
     (fun pol ->
       let n = 64 in
-      let lb = Lb.create pol ~servers:n ~entries:4 in
-      let v = mk_view ~outstanding:(Array.init n (fun i -> i mod 5)) ~n ~spill:3 () in
+      let lb = mk_lb pol ~entries:4 ~outstanding:(Array.init n (fun i -> i mod 5)) ~spill:3 () in
       let acc = ref 0 in
       let before = Gc.minor_words () in
       for i = 1 to 10_000 do
-        acc := !acc + Lb.pick lb v ~entry:(i mod 4);
+        acc := !acc + Lb.pick lb ~entry:(i mod 4);
         if Lb.hit lb then incr acc
       done;
       let words = Gc.minor_words () -. before in
@@ -195,9 +201,9 @@ let arb_lb_history =
 let prop_lb_matches_model =
   QCheck.Test.make ~name:"lb: array balancer picks what the list model picks" ~count:500
     arb_lb_history (fun (pol, n, spill, ops) ->
+      (* The model reads these arrays; every change also goes to [lb]. *)
       let routable = Array.make n true and outstanding = Array.make n 0 in
-      let lb = Lb.create pol ~servers:n ~entries:lb_entries in
-      let v = { Lb.routable; outstanding; spill } in
+      let lb = Lb.create pol ~servers:n ~entries:lb_entries ~spill in
       let model = Lb_model.create pol in
       let mv =
         {
@@ -207,24 +213,33 @@ let prop_lb_matches_model =
           spill;
         }
       in
+      let inc s =
+        outstanding.(s) <- outstanding.(s) + 1;
+        Lb.route lb s
+      in
       List.for_all
         (fun op ->
           match op with
           | Pick entry ->
-              let s = Lb.pick lb v ~entry in
+              let s = Lb.pick lb ~entry in
               let got = if s < 0 then None else Some (s, Lb.hit lb) in
               let want = Lb_model.pick model mv ~entry in
-              if s >= 0 then outstanding.(s) <- outstanding.(s) + 1;
+              if s >= 0 then inc s;
               got = want
           | Inc s ->
-              outstanding.(s mod n) <- outstanding.(s mod n) + 1;
+              inc (s mod n);
               true
           | Dec s ->
               let s = s mod n in
-              if outstanding.(s) > 0 then outstanding.(s) <- outstanding.(s) - 1;
+              if outstanding.(s) > 0 then begin
+                outstanding.(s) <- outstanding.(s) - 1;
+                Lb.complete lb s
+              end;
               true
           | Flip s ->
-              routable.(s mod n) <- not routable.(s mod n);
+              let s = s mod n in
+              routable.(s) <- not routable.(s);
+              Lb.set_routable lb s routable.(s);
               true
           | Forget s ->
               Lb.forget lb (s mod n);

@@ -96,6 +96,29 @@ let test_quantile_of_buckets () =
   Alcotest.(check (float 0.0)) "p100 clamps to last finite" 1000.0
     (Sketch.quantile_of_buckets buckets 100.0)
 
+(* The ladder's bucket as the per-bit loop computed it: the reference for
+   the constant-time [Sketch.bucket_index]. *)
+let bit_loop_bucket_index v =
+  let rec msb v acc = if v <= 1 then acc else msb (v lsr 1) (acc + 1) in
+  if v < 16 then v
+  else
+    let b = msb v 0 in
+    ((b - 3) * 16) + (v lsr (b - 4)) - 16
+
+let test_bucket_index_matches_bit_loop () =
+  let check v =
+    if Sketch.bucket_index v <> bit_loop_bucket_index v then
+      Alcotest.failf "bucket_index %d = %d, bit loop %d" v (Sketch.bucket_index v)
+        (bit_loop_bucket_index v)
+  in
+  for v = 0 to 1 lsl 16 do
+    check v
+  done;
+  for k = 0 to 61 do
+    List.iter check [ (1 lsl k) - 1; 1 lsl k; (1 lsl k) + 1 ]
+  done;
+  check max_int
+
 (* --- objective parsing --- *)
 
 let test_parse_presets () =
@@ -667,6 +690,8 @@ let suite =
       test_sketch_error_bound;
     Alcotest.test_case "quantile over Registry.Hist ladders" `Quick
       test_quantile_of_buckets;
+    Alcotest.test_case "sketch: bucket_index equals the bit loop" `Quick
+      test_bucket_index_matches_bit_loop;
     Alcotest.test_case "slo: presets and overrides" `Quick test_parse_presets;
     Alcotest.test_case "slo: inline objectives and rejects" `Quick
       test_parse_inline_and_errors;

@@ -196,6 +196,160 @@ let prop_fuzz =
     [ "steady"; "diurnal"; "flash"; "ci"; "users="; "seed="; "zipf="; "rate="; "amp=";
       "period-us="; "flash="; "1000000:300:3"; "600:200:3+"; "0:1:1" ]
 
+(* --- the batched stream against the one-at-a-time generator --- *)
+
+(* The stream as it was generated one arrival at a time: per candidate the
+   gap, the acceptance draw against [rate_at], and for an accepted one the
+   alias column and coin, resolved on the spot. The model [Traffic.next]
+   must match draw for draw. *)
+module One_at_a_time = struct
+  module Prng = Jord_util.Prng
+
+  type t = {
+    shape : Traffic.shape;
+    zipf : Traffic.alias;
+    users : int;
+    prng : Prng.t;
+    lam_max : float;
+    duration_us : float;
+    mutable t_us : float;
+    mutable produced : int;
+  }
+
+  let make (shape : Traffic.shape) ~duration_us =
+    {
+      shape;
+      zipf =
+        Traffic.alias_build
+          (Array.init shape.users (fun r -> float_of_int (r + 1) ** -.shape.zipf_s));
+      users = shape.users;
+      prng = Prng.create ~seed:shape.seed;
+      lam_max = Traffic.peak_rate shape;
+      duration_us;
+      t_us = 0.0;
+      produced = 0;
+    }
+
+  let alias_pick t =
+    let i = Prng.int t.prng t.users in
+    if Prng.float t.prng 1.0 < Traffic.alias_prob t.zipf i then i
+    else Traffic.alias_index t.zipf i
+
+  let rec next t =
+    t.t_us <- t.t_us +. Jord_util.Sample.exponential t.prng ~mean:(1.0 /. t.lam_max);
+    if t.t_us >= t.duration_us then None
+    else if Prng.float t.prng t.lam_max < Traffic.rate_at t.shape ~us:t.t_us then begin
+      let user = alias_pick t in
+      t.produced <- t.produced + 1;
+      Some (Jord_sim.Time.of_us t.t_us, user)
+    end
+    else next t
+end
+
+(* Both streams to the end, step by step: the same (at, user) at every
+   step, the same [generated] after it, and both end together. *)
+let batched_matches_model shape ~duration_us =
+  let t = Traffic.make shape ~duration_us and m = One_at_a_time.make shape ~duration_us in
+  let rec go () =
+    let got = Option.map (fun a -> (a.Traffic.at, a.Traffic.user)) (Traffic.next t) in
+    let want = One_at_a_time.next m in
+    got = want
+    && Traffic.generated t = m.One_at_a_time.produced
+    && (got = None || go ())
+  in
+  go () && Traffic.next t = None
+
+let batch_duration_us = 150.0
+
+let gen_batch_shape =
+  QCheck.Gen.(
+    let window =
+      map3
+        (fun at_us dur_us boost -> { Traffic.at_us; dur_us; boost })
+        (float_range 0.0 batch_duration_us)
+        (* Some windows are too short to hold an arrival. *)
+        (oneof [ float_range 0.001 0.05; float_range 1.0 80.0 ])
+        (float_range 1.0 4.0)
+    in
+    let* users = oneof [ int_range 1 3; int_range 1 2000; return 100_000 ] in
+    let* zipf_s = oneofl [ 0.0; 0.8; 1.1; 2.0 ] in
+    let* diurnal_amp = oneofl [ 0.0; 0.3; 0.9 ] in
+    let* rate_mrps = float_range 0.5 6.0 in
+    let* flash = list_size (int_bound 3) window in
+    let* seed = int_bound 10_000 in
+    return
+      { Traffic.users; zipf_s; rate_mrps; diurnal_amp; diurnal_period_us = 90.0; flash; seed })
+
+let prop_batched_matches_model =
+  QCheck.Test.make ~name:"traffic: batched stream matches the one-at-a-time model" ~count:60
+    (QCheck.make ~print:Traffic.to_string gen_batch_shape)
+    (batched_matches_model ~duration_us:batch_duration_us)
+
+(* The edges named outright: no flash and no diurnal term (so no [sin] at
+   all), a window that holds no arrival, and overlapping windows whose
+   first end falls inside a batch. *)
+let test_batched_edges () =
+  let base = { (List.assoc "ci" Traffic.presets) with Traffic.users = 5000; rate_mrps = 4.0 } in
+  let flat = { base with Traffic.diurnal_amp = 0.0; flash = [] } in
+  let empty_window =
+    { base with Traffic.flash = [ { Traffic.at_us = 50.0; dur_us = 0.001; boost = 3.0 } ] }
+  in
+  let overlapping =
+    {
+      base with
+      Traffic.flash =
+        [
+          { Traffic.at_us = 20.0; dur_us = 40.0; boost = 2.0 };
+          { Traffic.at_us = 40.0; dur_us = 60.0; boost = 3.0 };
+        ];
+    }
+  in
+  let before shape ~us =
+    Array.fold_left
+      (fun n a -> if a.Traffic.at < Jord_sim.Time.of_us us then n + 1 else n)
+      0
+      (Traffic.pregen shape ~duration_us:batch_duration_us)
+  in
+  check "the short window holds no arrival" true
+    (before empty_window ~us:50.0 = before empty_window ~us:50.001);
+  check "the first window ends inside a batch" true (before overlapping ~us:60.0 mod 64 <> 0);
+  List.iter
+    (fun (name, shape) ->
+      check name true (batched_matches_model shape ~duration_us:batch_duration_us))
+    [ ("flat", flat); ("empty window", empty_window); ("overlapping windows", overlapping) ]
+
+(* [rate_bounds] brackets [rate_at] at any instant: inside and outside
+   windows, at their edges, and at the diurnal extremes. *)
+let prop_bounds_bracket_rate_at =
+  let gen =
+    QCheck.Gen.(
+      let* shape = gen_shape in
+      let* rate_mrps = oneof [ return shape.Traffic.rate_mrps; float_range 1e-9 1e9 ] in
+      let shape = { shape with Traffic.rate_mrps } in
+      let edges =
+        List.concat_map
+          (fun f -> [ f.Traffic.at_us; f.Traffic.at_us +. f.Traffic.dur_us ])
+          shape.Traffic.flash
+      in
+      let p = shape.Traffic.diurnal_period_us in
+      let* us =
+        oneof
+          [
+            float_range 0.0 1000.0;
+            oneofl ((p /. 4.0) :: (3.0 *. p /. 4.0) :: (edges @ [ 0.0 ]));
+          ]
+      in
+      return (shape, us))
+  in
+  QCheck.Test.make ~name:"traffic: envelope bounds bracket rate_at" ~count:2000
+    (QCheck.make
+       ~print:(fun (shape, us) -> Printf.sprintf "%s at %h us" (Traffic.to_string shape) us)
+       gen)
+    (fun (shape, us) ->
+      let lo, hi = Traffic.rate_bounds shape ~us in
+      let r = Traffic.rate_at shape ~us in
+      lo <= r && r <= hi)
+
 (* --- deterministic unit checks --- *)
 
 let test_presets_valid () =
@@ -308,6 +462,9 @@ let suite =
     QCheck_alcotest.to_alcotest prop_live_equals_pregen;
     QCheck_alcotest.to_alcotest prop_stream_equals_pregen;
     QCheck_alcotest.to_alcotest prop_alias_bitwise;
+    QCheck_alcotest.to_alcotest prop_batched_matches_model;
+    Alcotest.test_case "traffic: batched stream at window edges" `Quick test_batched_edges;
+    QCheck_alcotest.to_alcotest prop_bounds_bracket_rate_at;
     QCheck_alcotest.to_alcotest prop_roundtrip;
     QCheck_alcotest.to_alcotest prop_fuzz;
     Alcotest.test_case "presets validate and roundtrip" `Quick test_presets_valid;

@@ -125,6 +125,50 @@ let prop_va_parser_matches_layout =
           && Va.index_at i = index
           && Va.base_of cfg va = Va.encode cfg sc ~index ~offset:0)
 
+(* [Va.vte_index_of_va] as it read with a Size_class call and a division
+   per call, kept as the reference for the division-free parser. *)
+let division_parser (cfg : Va.config) va =
+  if not (Va.is_jord cfg va) then -1
+  else
+    let sc_i = (va lsr 51) land 31 in
+    if sc_i >= Size_class.count then -1
+    else
+      let offs_bits = Size_class.offset_bits (Size_class.of_index sc_i) in
+      let index = (va lsr offs_bits) land ((1 lsl (51 - offs_bits)) - 1) in
+      if index >= Va.slots_per_class cfg then -1 else (index * Size_class.count) + sc_i
+
+(* Random tables (capacities that are and are not multiples of the class
+   count, some below it) and random VAs over them: foreign tags, every
+   class field value including those past the last class, and indices
+   inside the budget, at it, past it, or anywhere in the index field. *)
+let prop_va_parser_matches_division =
+  let gen =
+    QCheck.Gen.(
+      let* cap = oneof [ return Va.default_config.Va.table_capacity; int_range 1 5000; int_range 1 (1 lsl 24) ] in
+      let cfg = { Va.default_config with Va.table_capacity = cap } in
+      let budget = Va.slots_per_class cfg in
+      let* tag = oneof [ return cfg.Va.top_tag; int_bound 15 ] in
+      let* cls = int_bound 31 in
+      let offs = Size_class.offset_bits (Size_class.of_index (cls mod Size_class.count)) in
+      let* index =
+        oneof
+          [
+            int_bound (max 0 (budget - 1));
+            map (fun d -> max 0 (budget - 1 + d)) (int_bound 2);
+            map (fun bit -> 1 lsl bit) (int_bound (50 - offs));
+          ]
+      in
+      let* offset = int_bound ((1 lsl offs) - 1) in
+      return
+        ( cfg,
+          (tag lsl 56) lor (cls lsl 51) lor ((index lsl offs) land ((1 lsl 51) - 1)) lor offset ))
+  in
+  QCheck.Test.make ~name:"VA parser equals the division parser" ~count:3000
+    (QCheck.make
+       ~print:(fun (cfg, va) -> Printf.sprintf "capacity=%d va=0x%x" cfg.Va.table_capacity va)
+       gen)
+    (fun (cfg, va) -> Va.vte_index_of_va cfg va = division_parser cfg va)
+
 let prop_vte_index_injective =
   QCheck.Test.make ~name:"VTE positions are injective across (class, index)"
     QCheck.(pair (pair (int_bound 25) (int_bound 500)) (pair (int_bound 25) (int_bound 500)))
@@ -263,6 +307,7 @@ let suite =
     Alcotest.test_case "vte positions" `Quick test_vte_positions;
     QCheck_alcotest.to_alcotest prop_va_roundtrip;
     QCheck_alcotest.to_alcotest prop_va_parser_matches_layout;
+    QCheck_alcotest.to_alcotest prop_va_parser_matches_division;
     QCheck_alcotest.to_alcotest prop_vte_index_injective;
     Alcotest.test_case "vte perms" `Quick test_vte_perms;
     Alcotest.test_case "vte sub-array overflow" `Quick test_vte_overflow;
